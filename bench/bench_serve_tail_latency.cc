@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -50,7 +51,9 @@ struct TailRow {
 TailRow RunTailConfig(const data::SimDataset& ds, const std::string& label,
                       double hedge_delay_s, int num_requests) {
   VirtualClock clock;
-  serve::TopologyOptions topo;
+  stream::StreamingOptions topo;
+  topo.dir = "/tmp/xfraud-bench-serve-tail";
+  std::filesystem::remove_all(topo.dir);
   topo.num_shards = 4;
   topo.num_replicas = 3;
   topo.clock = &clock;
@@ -59,10 +62,11 @@ TailRow RunTailConfig(const data::SimDataset& ds, const std::string& label,
   auto plan = fault::FaultPlan::Parse("seed=20260805,slow_replica=2@0.005");
   XF_CHECK(plan.ok()) << plan.status().ToString();
   topo.plan = plan.value();
-  serve::ServingTopology topology(topo);
-  XF_CHECK(topology.Ingest(ds.graph).ok());
+  auto topology = stream::StreamingTopology::Open(topo);
+  XF_CHECK(topology.ok()) << topology.status().ToString();
+  XF_CHECK(topology.value()->BulkLoad(ds.graph).ok());
 
-  kv::FeatureStore features(topology.serving());
+  kv::FeatureStore features(topology.value()->serving());
   Rng model_rng(kSeedA);
   core::XFraudDetector model(DetectorConfigFor(ds.graph), &model_rng);
   serve::ServiceOptions options;

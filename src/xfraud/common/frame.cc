@@ -82,6 +82,18 @@ void EncodeFrameHeader(const FrameHeader& header, unsigned char* out) {
   PutU32(out + 28, header.payload_crc);
 }
 
+uint64_t MaxFramePayload(FrameType type) {
+  switch (type) {
+    case FrameType::kReduce:
+    case FrameType::kResult:
+    case FrameType::kBroadcast:
+    case FrameType::kGather:
+      return kMaxFramePayload;
+    default:
+      return kMaxControlFramePayload;
+  }
+}
+
 Result<FrameHeader> DecodeFrameHeader(const unsigned char* data) {
   for (int i = 0; i < 4; ++i) {
     if (data[i] != kMagic[i]) {
@@ -100,10 +112,11 @@ Result<FrameHeader> DecodeFrameHeader(const unsigned char* data) {
   header.seq = GetU64(data + 12);
   header.payload_bytes = GetU64(data + 20);
   header.payload_crc = GetU32(data + 28);
-  if (header.payload_bytes > kMaxFramePayload) {
-    return Status::Corruption("frame: payload length " +
-                              std::to_string(header.payload_bytes) +
-                              " exceeds limit");
+  if (header.payload_bytes > MaxFramePayload(header.type)) {
+    return Status::Corruption(
+        "frame: payload length " + std::to_string(header.payload_bytes) +
+        " exceeds the type " + std::to_string(type) + " limit of " +
+        std::to_string(MaxFramePayload(header.type)));
   }
   return header;
 }

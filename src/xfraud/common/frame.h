@@ -63,6 +63,18 @@ inline constexpr size_t kFrameHeaderBytes = 32;
 /// a malformed length field allocate the host out of memory.
 inline constexpr uint64_t kMaxFramePayload = 1ULL << 31;
 
+/// Cap for every non-collective frame (handshake, rendezvous, barrier, and
+/// the serving tier's request/reply/health/drain): their payloads are a few
+/// fixed fields plus at most an endpoint or a status message. The header
+/// carries no checksum, so without this a single flipped length bit on a
+/// control frame could demand a kMaxFramePayload allocation.
+inline constexpr uint64_t kMaxControlFramePayload = 64ULL << 10;
+
+/// The largest payload a frame of `type` may declare: kMaxFramePayload for
+/// the collectives (kReduce, kResult, kBroadcast, kGather), which ship
+/// gradient buffers; kMaxControlFramePayload for everything else.
+uint64_t MaxFramePayload(FrameType type);
+
 /// CRC32 of a frame payload (the value carried at header offset 28).
 uint32_t FramePayloadCrc(const void* payload, size_t n);
 
@@ -80,7 +92,8 @@ Status VerifyFramePayload(const FrameHeader& header, const void* payload,
 void EncodeFrameHeader(const FrameHeader& header, unsigned char* out);
 
 /// Decodes a header from `data` (kFrameHeaderBytes long). Returns
-/// Corruption on a bad magic, unknown type, or oversized payload length.
+/// Corruption on a bad magic, unknown type, or a payload length above
+/// MaxFramePayload(type) — checked before any receiver allocates.
 Result<FrameHeader> DecodeFrameHeader(const unsigned char* data);
 
 }  // namespace xfraud

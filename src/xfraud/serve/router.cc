@@ -33,6 +33,7 @@ Router::Router(RouterOptions options)
   hedge_wins_ = r.counter("serve/router/hedge_wins");
   breaker_opens_ = r.counter("serve/router/breaker_opens");
   corrupt_retries_ = r.counter("serve/router/corrupt_retries");
+  dials_ = r.counter("serve/router/dials");
   redials_ = r.counter("serve/router/redials");
 }
 
@@ -89,7 +90,11 @@ Status Router::EnsureConnected(int shard, int replica,
     b.conn = std::move(fd).value();
     return Status::OK();
   });
-  if (dialed.ok()) redials_->Increment();
+  if (dialed.ok()) {
+    dials_->Increment();
+    if (b.dialed_before) redials_->Increment();
+    b.dialed_before = true;
+  }
   return dialed;
 }
 

@@ -86,6 +86,8 @@ class Router {
  private:
   struct Backend {
     UniqueFd conn;
+    /// Set by the first successful dial: any later dial is a redial.
+    bool dialed_before = false;
     int consecutive_failures = 0;
     /// Breaker: open (skip this backend) until the clock passes this.
     double open_until_s = 0.0;
@@ -120,7 +122,8 @@ class Router {
   obs::Counter* hedge_wins_;
   obs::Counter* breaker_opens_;
   obs::Counter* corrupt_retries_;
-  obs::Counter* redials_;
+  obs::Counter* dials_;    // every successful connect
+  obs::Counter* redials_;  // connects after a dropped connection
 };
 
 }  // namespace xfraud::serve

@@ -5,33 +5,16 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <filesystem>
 #include <utility>
 
 #include "xfraud/common/frame.h"
 #include "xfraud/common/logging.h"
 #include "xfraud/dist/socket_transport.h"
-#include "xfraud/kv/feature_store.h"
-#include "xfraud/kv/log_kv.h"
 #include "xfraud/obs/registry.h"
 #include "xfraud/serve/wire.h"
 #include "xfraud/stream/streaming_topology.h"
 
 namespace xfraud::serve {
-
-namespace {
-
-std::string CellPath(const std::string& dir, int shard, int replica) {
-  return dir + "/cell_" + std::to_string(shard) + "_" +
-         std::to_string(replica) + ".log";
-}
-
-std::string SocketPath(const std::string& dir, int shard, int replica) {
-  return dir + "/s" + std::to_string(shard) + "_r" +
-         std::to_string(replica) + ".sock";
-}
-
-}  // namespace
 
 Supervisor::Supervisor(SupervisorOptions options)
     : options_(std::move(options)),
@@ -54,37 +37,20 @@ Result<std::unique_ptr<Supervisor>> Supervisor::Start(
 }
 
 Status Supervisor::Init(const graph::HeteroGraph& g) {
-  std::error_code ec;
-  std::filesystem::create_directories(options_.dir, ec);
-  if (ec) {
-    return Status::IoError("cannot create serving tier dir " + options_.dir +
-                           ": " + ec.message());
-  }
-
-  // Tier preparation: every cell gets the full graph in its own WAL, then
-  // one lockstep publish through the streaming tier's FanoutEpochSource
-  // commits the serving epoch on every cell atomically-enough that a crash
-  // here is recoverable (DESIGN.md §15's grid-publish invariants).
+  // Tier preparation: every server's cell holds the full graph, so the
+  // tier is a 1×(S·R) grid. BulkLoad writes each cell's WAL and commits the
+  // serving epoch with one lockstep publish (DESIGN.md §15's grid-publish
+  // invariants), so a crash here is recoverable. After the forks, only the
+  // WAL is the source of truth.
   {
-    std::vector<std::unique_ptr<kv::LogKvStore>> cells;
-    std::vector<kv::LogKvStore*> cell_ptrs;
-    for (int s = 0; s < options_.num_shards; ++s) {
-      for (int r = 0; r < options_.num_replicas; ++r) {
-        Result<std::unique_ptr<kv::LogKvStore>> cell =
-            kv::LogKvStore::Open(CellPath(options_.dir, s, r));
-        if (!cell.ok()) return cell.status();
-        kv::FeatureStore features(cell.value().get());
-        // Sanctioned bulk load: this is the tier's one-time cell
-        // preparation, committed by the FanoutEpochSource publish below —
-        // after the forks, only the WAL is the source of truth.
-        // xfraud-analyze: allow(ingest-bypass)
-        XF_RETURN_IF_ERROR(features.Ingest(g));
-        cell_ptrs.push_back(cell.value().get());
-        cells.push_back(std::move(cell).value());
-      }
-    }
-    stream::FanoutEpochSource epochs(cell_ptrs);
-    Result<uint64_t> published = epochs.PublishEpoch();
+    stream::StreamingOptions grid;
+    grid.dir = options_.dir;
+    grid.num_shards = 1;
+    grid.num_replicas = options_.num_shards * options_.num_replicas;
+    Result<std::unique_ptr<stream::StreamingTopology>> topology =
+        stream::StreamingTopology::Open(grid);
+    if (!topology.ok()) return topology.status();
+    Result<uint64_t> published = topology.value()->BulkLoad(g);
     if (!published.ok()) return published.status();
     epoch_ = published.value();
     // Cells close here, before any fork: children must own their WAL fds
@@ -111,9 +77,9 @@ ShardServerOptions Supervisor::ServerOptions(int shard, int replica,
   ShardServerOptions server;
   server.shard = shard;
   server.replica = replica;
-  server.cell_path = CellPath(options_.dir, shard, replica);
-  server.endpoint.kind = dist::Endpoint::Kind::kUnix;
-  server.endpoint.path = SocketPath(options_.dir, shard, replica);
+  server.cell_path = stream::StreamingTopology::CellPath(
+      options_.dir, 0, shard * options_.num_replicas + replica);
+  server.endpoint = endpoint(shard, replica);
   server.detector = options_.detector;
   server.model_seed = options_.model_seed;
   server.service = options_.service;
@@ -237,10 +203,8 @@ void Supervisor::PingServers() {
       Server& s = servers_[i];
       if (s.pid != pid) return true;  // reaped meanwhile; skip this round
       if (!s.health_conn.valid()) {
-        dist::Endpoint ep;
-        ep.kind = dist::Endpoint::Kind::kUnix;
-        ep.path = SocketPath(options_.dir, shard, replica);
-        Result<UniqueFd> conn = dist::DialEndpoint(ep, deadline, clock_);
+        Result<UniqueFd> conn =
+            dist::DialEndpoint(endpoint(shard, replica), deadline, clock_);
         if (!conn.ok()) return false;
         s.health_conn = std::move(conn).value();
       }
@@ -316,11 +280,9 @@ Status Supervisor::Stop() {
     const int replica = static_cast<int>(i) % options_.num_replicas;
     const Deadline deadline = Deadline::After(clock_, 5.0);
     // Orderly exit: drain, await the ack and the clean exit.
-    dist::Endpoint ep;
-    ep.kind = dist::Endpoint::Kind::kUnix;
-    ep.path = SocketPath(options_.dir, shard, replica);
     bool drained = false;
-    Result<UniqueFd> conn = dist::DialEndpoint(ep, deadline, clock_);
+    Result<UniqueFd> conn =
+        dist::DialEndpoint(endpoint(shard, replica), deadline, clock_);
     if (conn.ok()) {
       FrameHeader drain;
       drain.type = FrameType::kDrain;
@@ -373,7 +335,8 @@ RouterOptions Supervisor::MakeRouterOptions() const {
 dist::Endpoint Supervisor::endpoint(int shard, int replica) const {
   dist::Endpoint ep;
   ep.kind = dist::Endpoint::Kind::kUnix;
-  ep.path = SocketPath(options_.dir, shard, replica);
+  ep.path = options_.dir + "/s" + std::to_string(shard) + "_r" +
+            std::to_string(replica) + ".sock";
   return ep;
 }
 

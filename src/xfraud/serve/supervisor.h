@@ -26,8 +26,10 @@
 namespace xfraud::serve {
 
 struct SupervisorOptions {
-  /// Tier directory: holds the S×R cell WALs ("cell_<s>_<r>.log") and the
-  /// servers' unix socket endpoints ("s<s>_r<r>.sock"). Created if missing.
+  /// Tier directory: holds the S×R cell WALs (a 1×(S·R)
+  /// stream::StreamingTopology grid; server (s, r) owns cell s*R + r) and
+  /// the servers' unix socket endpoints ("s<s>_r<r>.sock"). Created if
+  /// missing.
   /// Keep it short — AF_UNIX paths cap around ~100 chars.
   std::string dir;
   int num_shards = 2;
@@ -57,13 +59,13 @@ struct SupervisorOptions {
 };
 
 /// The serving tier's process supervisor (DESIGN.md §16): prepares the cell
-/// WALs (ingest + one lockstep epoch publish through
-/// stream::FanoutEpochSource), forks one shard-server process per grid
-/// position, and babysits them — reaping signal deaths via waitpid, probing
-/// liveness with kHealth pings, SIGKILLing the unresponsive, and respawning
-/// the dead with the planned kill suppressed so a chaos kill fires exactly
-/// once. A respawned server recovers purely from its WAL at the pinned
-/// epoch, so the tier's scores are unchanged across any number of deaths.
+/// WALs (stream::StreamingTopology::BulkLoad: ingest + one lockstep epoch
+/// publish), forks one shard-server process per grid position, and babysits
+/// them — reaping signal deaths via waitpid, probing liveness with kHealth
+/// pings, SIGKILLing the unresponsive, and respawning the dead with the
+/// planned kill suppressed so a chaos kill fires exactly once. A respawned
+/// server recovers purely from its WAL at the pinned epoch, so the tier's
+/// scores are unchanged across any number of deaths.
 ///
 /// State machine per server:
 ///   FORKED -> SERVING -(SIGKILL/crash)-> DEAD -(respawn, budget left)->

@@ -88,8 +88,12 @@ Result<ScoreRequestWire> DecodeScoreRequest(const void* payload, size_t n) {
 }
 
 std::string EncodeScoreReply(const ScoreReplyWire& reply) {
+  // Truncate the status message so the reply always fits the control-frame
+  // payload cap the receiver enforces.
+  const std::string msg = reply.status.message().substr(
+      0, kMaxControlFramePayload - kScoreReplyFixedBytes);
   std::string out;
-  out.reserve(kScoreReplyFixedBytes + reply.status.message().size());
+  out.reserve(kScoreReplyFixedBytes + msg.size());
   PutU32(&out, static_cast<uint32_t>(reply.status.code()));
   PutF64(&out, reply.response.score);
   PutU64(&out, static_cast<uint64_t>(reply.response.imputed_rows));
@@ -97,7 +101,6 @@ std::string EncodeScoreReply(const ScoreReplyWire& reply) {
   PutF64(&out, reply.response.deadline_slack_s);
   out.push_back(reply.response.degraded ? 1 : 0);
   out.push_back(reply.response.from_prefilter ? 1 : 0);
-  const std::string& msg = reply.status.message();
   PutU32(&out, static_cast<uint32_t>(msg.size()));
   out.append(msg);
   return out;

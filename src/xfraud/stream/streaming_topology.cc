@@ -159,10 +159,8 @@ Status StreamingTopology::Init() {
   cells_.reserve(static_cast<size_t>(S) * R);
   for (int s = 0; s < S; ++s) {
     for (int r = 0; r < R; ++r) {
-      std::string path = options_.dir + "/cell_" + std::to_string(s) + "_" +
-                         std::to_string(r);
       Result<std::unique_ptr<kv::LogKvStore>> cell =
-          kv::LogKvStore::Open(path);
+          kv::LogKvStore::Open(CellPath(options_.dir, s, r));
       if (!cell.ok()) return cell.status();
       cell.value()->SetTtlEpochs(options_.ttl_epochs);
       cells_.push_back(std::move(cell).value());
@@ -179,6 +177,7 @@ Status StreamingTopology::Init() {
   kv::ReplicationOptions ingest_replication;
   ingest_replication.clock = clock;
 
+  std::vector<kv::KvStore*> serving_ptrs, ingest_ptrs;
   serving_shards_.reserve(S);
   ingest_shards_.reserve(S);
   for (int s = 0; s < S; ++s) {
@@ -208,14 +207,8 @@ Status StreamingTopology::Init() {
         std::move(serving_replicas), options_.replication));
     ingest_shards_.push_back(std::make_unique<kv::ReplicatedKvStore>(
         std::move(ingest_replicas), ingest_replication));
-  }
-
-  std::vector<kv::KvStore*> serving_ptrs, ingest_ptrs;
-  serving_ptrs.reserve(S);
-  ingest_ptrs.reserve(S);
-  for (int s = 0; s < S; ++s) {
-    serving_ptrs.push_back(serving_shards_[s].get());
-    ingest_ptrs.push_back(ingest_shards_[s].get());
+    serving_ptrs.push_back(serving_shards_.back().get());
+    ingest_ptrs.push_back(ingest_shards_.back().get());
   }
   serving_ = std::make_unique<kv::ShardedKvStore>(std::move(serving_ptrs));
   ingest_ = std::make_unique<kv::ShardedKvStore>(std::move(ingest_ptrs));
@@ -232,6 +225,27 @@ Status StreamingTopology::Init() {
   ingestor_ =
       std::make_unique<GraphIngestor>(ingest_.get(), epochs_.get());
   return ingestor_->Attach();
+}
+
+std::string StreamingTopology::CellPath(const std::string& dir, int shard,
+                                        int replica) {
+  return dir + "/cell_" + std::to_string(shard) + "_" +
+         std::to_string(replica);
+}
+
+Result<uint64_t> StreamingTopology::BulkLoad(const graph::HeteroGraph& g) {
+  const int S = options_.num_shards;
+  const int R = options_.num_replicas;
+  // One fault-free sharded view per replica column, so every replica of
+  // every shard receives the identical rows.
+  for (int r = 0; r < R; ++r) {
+    std::vector<kv::KvStore*> column;
+    column.reserve(S);
+    for (int s = 0; s < S; ++s) column.push_back(cell(s, r));
+    kv::ShardedKvStore view(std::move(column));
+    XF_RETURN_IF_ERROR(kv::FeatureStore(&view).Ingest(g));
+  }
+  return epochs_->PublishEpoch();
 }
 
 Result<GraphView> StreamingTopology::OpenView() {

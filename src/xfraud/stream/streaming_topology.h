@@ -146,9 +146,11 @@ struct StreamingOptions {
   Clock* clock = nullptr;
 };
 
-/// The mutable, versioned ingestion tier (DESIGN.md §15): the streaming
-/// analogue of serve::ServingTopology, with crash-safe LogKvStore cells in
-/// place of in-memory ones and an epoch surface over the grid.
+/// The S×R storage grid of paper §3.3.3 / Appendix C and the mutable,
+/// versioned ingestion tier over it (DESIGN.md §15): crash-safe LogKvStore
+/// cells, the hardened serving read path, and an epoch surface over the
+/// grid. Every cell grid in the repo — in-process serving, streaming
+/// ingest, and the supervised shard-server tier — is built here.
 ///
 ///   serving():  ShardedKvStore
 ///                 └─ per shard: ReplicatedKvStore (failover/hedge/breaker)
@@ -170,6 +172,18 @@ class StreamingTopology {
       StreamingOptions options);
 
   ~StreamingTopology();
+
+  /// The log file of cell (shard, replica) under a grid directory — the one
+  /// place cell file names are formed.
+  static std::string CellPath(const std::string& dir, int shard,
+                              int replica);
+
+  /// Offline bulk load of a frozen graph: writes `g` into every cell (the
+  /// raw cells, bypassing the fault layer — chaos applies to serving reads,
+  /// not to setup), publishes one epoch through epochs(), and returns it.
+  /// Upserts into an existing grid. ingestor() is not re-attached: reopen
+  /// the topology before streaming appends onto a bulk-loaded grid.
+  Result<uint64_t> BulkLoad(const graph::HeteroGraph& g);
 
   /// The hardened read path (hand to a FeatureStore), and the one this
   /// topology's own features()/OpenView() use.

@@ -195,6 +195,27 @@ TEST_F(MultiProcess, SigkilledWorkerRestartsAndMatchesFaultFreeRun) {
   std::filesystem::remove_all(chaos_dir);
 }
 
+/// With no restart budget a signal death is terminal: the launcher kills
+/// the survivors and fails the run instead of re-forking the rank.
+TEST_F(MultiProcess, ExhaustedRestartBudgetFailsTheRun) {
+  const std::string dir = MakeDir("budget");
+  ProcessClusterOptions options;
+  options.worker = BaseOptions(/*world=*/2, /*epochs=*/1, dir);
+  auto plan = fault::FaultPlan::Parse("kill_worker=1@0:1");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  options.worker.fault_plan = plan.value();
+  options.max_restarts_per_rank = 0;
+  options.overall_timeout_s = 240.0;
+  auto report = RunProcessCluster(*ds_, options);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInternal)
+      << report.status().ToString();
+  EXPECT_NE(report.status().message().find("restart budget"),
+            std::string::npos)
+      << report.status().ToString();
+  std::filesystem::remove_all(dir);
+}
+
 /// Rank 0 hosts the rendezvous and owns the run's history, so killing it is
 /// outside the failure model — the worker must refuse the plan up front
 /// rather than deadlock the cluster.

@@ -17,6 +17,7 @@
 //  - a payload bit flip on the wire is detected by the frame CRC, answered
 //    with Corruption, and transparently retried by the router.
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -42,6 +43,10 @@
 
 namespace xfraud::serve {
 namespace {
+
+int64_t CounterValue(const char* name) {
+  return obs::Registry::Global().counter(name)->value();
+}
 
 // ---- ServeWire: payload codecs, frame CRC, fault grammar (no processes) ---
 
@@ -139,6 +144,44 @@ TEST(ServeWire, ServingFrameTypesEncodeAndUnknownTypeRejected) {
   unsigned char buf[kFrameHeaderBytes];
   EncodeFrameHeader(beyond, buf);
   EXPECT_TRUE(DecodeFrameHeader(buf).status().IsCorruption());
+}
+
+TEST(ServeWire, ControlFramePayloadIsCappedBeforeAllocation) {
+  // The header has no checksum: a flipped length bit must not make a shard
+  // server allocate a gigabyte. Control frames are capped small; only the
+  // collectives may declare bulk payloads.
+  FrameHeader request;
+  request.type = FrameType::kScoreRequest;
+  request.payload_bytes = 1ULL << 30;
+  unsigned char buf[kFrameHeaderBytes];
+  EncodeFrameHeader(request, buf);
+  EXPECT_TRUE(DecodeFrameHeader(buf).status().IsCorruption());
+
+  FrameHeader reduce;
+  reduce.type = FrameType::kReduce;
+  reduce.payload_bytes = 1ULL << 30;
+  EncodeFrameHeader(reduce, buf);
+  auto decoded = DecodeFrameHeader(buf);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().payload_bytes, 1ULL << 30);
+
+  // At the cap a control frame still decodes; one byte over does not.
+  request.payload_bytes = kMaxControlFramePayload;
+  EncodeFrameHeader(request, buf);
+  EXPECT_TRUE(DecodeFrameHeader(buf).ok());
+  request.payload_bytes = kMaxControlFramePayload + 1;
+  EncodeFrameHeader(request, buf);
+  EXPECT_TRUE(DecodeFrameHeader(buf).status().IsCorruption());
+}
+
+TEST(ServeWire, OversizedStatusMessageStillFitsTheReplyCap) {
+  ScoreReplyWire reply;
+  reply.status = Status::Internal(std::string(kMaxControlFramePayload, 'x'));
+  const std::string payload = EncodeScoreReply(reply);
+  EXPECT_LE(payload.size(), kMaxControlFramePayload);
+  auto decoded = DecodeScoreReply(payload.data(), payload.size());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().status.code(), StatusCode::kInternal);
 }
 
 TEST(ServeWire, PayloadCrcDetectsEverySingleBitFlip) {
@@ -347,6 +390,8 @@ TEST_F(MultiProcessServe, SocketTierMatchesSingleProcessBitIdentically) {
 
   const std::vector<int32_t> nodes = RequestNodes(16);
   const std::vector<double> want = ReferenceScores(nodes);
+  const int64_t dials_before = CounterValue("serve/router/dials");
+  const int64_t redials_before = CounterValue("serve/router/redials");
 
   Router router(sup.value()->MakeRouterOptions());
   for (size_t i = 0; i < nodes.size(); ++i) {
@@ -359,6 +404,9 @@ TEST_F(MultiProcessServe, SocketTierMatchesSingleProcessBitIdentically) {
     EXPECT_EQ(resp.value().score, want[i]) << "request " << i;
   }
   EXPECT_EQ(sup.value()->restarts(), 0);
+  // A clean run dials each shard's primary once and never reconnects.
+  EXPECT_GE(CounterValue("serve/router/dials") - dials_before, 2);
+  EXPECT_EQ(CounterValue("serve/router/redials") - redials_before, 0);
   EXPECT_TRUE(sup.value()->Stop().ok());
   std::filesystem::remove_all(dir);
 }
@@ -376,6 +424,7 @@ TEST_F(MultiProcessServe, KillServerChaosKeepsScoresBitIdentical) {
     std::string dir = MakeDir(tag);
     auto sup = Supervisor::Start(ds_->graph, TierOptions(dir, 2, 2, p));
     EXPECT_TRUE(sup.ok()) << sup.status().ToString();
+    const int64_t redials_before = CounterValue("serve/router/redials");
     Router router(sup.value()->MakeRouterOptions());
     std::vector<double> scores;
     for (size_t i = 0; i < nodes.size(); ++i) {
@@ -392,6 +441,8 @@ TEST_F(MultiProcessServe, KillServerChaosKeepsScoresBitIdentical) {
     }
     EXPECT_EQ(sup.value()->kills_observed().size(), 2u);
     EXPECT_EQ(sup.value()->restarts(), 2);
+    // The router reconnected to a respawned primary at least once.
+    EXPECT_GE(CounterValue("serve/router/redials") - redials_before, 1);
     EXPECT_TRUE(sup.value()->Stop().ok());
     std::filesystem::remove_all(dir);
     return scores;
@@ -408,6 +459,42 @@ TEST_F(MultiProcessServe, KillServerChaosKeepsScoresBitIdentical) {
       fault::FaultPlan::Parse(plan.ToString()).value();
   const std::vector<double> replay_scores = run_tier("replay", replayed);
   EXPECT_EQ(replay_scores, chaos_scores);
+}
+
+TEST_F(MultiProcessServe, ExhaustedRestartBudgetServesThroughReplicaOne) {
+  // No restart budget: replica 0 of every shard SIGKILLs itself on its 4th
+  // request and stays dead. The supervisor marks it failed instead of
+  // re-forking, and the router keeps every request bit-identical by
+  // failing over to replica 1.
+  SupervisorOptions options =
+      TierOptions(MakeDir("budget"), 2, 2,
+                  fault::FaultPlan::Parse("kill_server=0@3").value());
+  options.max_restarts_per_server = 0;
+  auto sup = Supervisor::Start(ds_->graph, options);
+  ASSERT_TRUE(sup.ok()) << sup.status().ToString();
+
+  const std::vector<int32_t> nodes = RequestNodes(24);
+  const std::vector<double> want = ReferenceScores(nodes);
+  Router router(sup.value()->MakeRouterOptions());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    auto resp = router.Score(static_cast<int64_t>(i), nodes[i]);
+    ASSERT_TRUE(resp.ok()) << "request " << i << ": "
+                           << resp.status().ToString();
+    EXPECT_EQ(resp.value().score, want[i]) << "request " << i;
+  }
+  const Deadline reap = Deadline::After(Clock::Real(), 10.0);
+  while (sup.value()->kills_observed().size() < 2 && !reap.Expired()) {
+    Clock::Real()->SleepFor(0.01);
+  }
+  // One death per shard, in either order, and nothing re-forked.
+  std::vector<int> kills = sup.value()->kills_observed();
+  std::sort(kills.begin(), kills.end());
+  EXPECT_EQ(kills, (std::vector<int>{0, 2}));
+  EXPECT_EQ(sup.value()->restarts(), 0);
+  EXPECT_EQ(sup.value()->server_pid(0, 0), -1);
+  EXPECT_EQ(sup.value()->server_pid(1, 0), -1);
+  EXPECT_TRUE(sup.value()->Stop().ok());
+  std::filesystem::remove_all(options.dir);
 }
 
 TEST_F(MultiProcessServe, ExpiredDeadlineIsRejectedServerSideNeverScored) {

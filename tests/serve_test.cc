@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "xfraud/baselines/rule_scorer.h"
 #include "xfraud/common/check.h"
@@ -25,7 +27,7 @@
 #include "xfraud/kv/replicated_kv.h"
 #include "xfraud/obs/registry.h"
 #include "xfraud/serve/scoring_service.h"
-#include "xfraud/serve/topology.h"
+#include "xfraud/stream/streaming_topology.h"
 
 namespace xfraud::serve {
 namespace {
@@ -304,7 +306,14 @@ struct ServiceRig {
     config.feature_dim = 16;
     ds = data::TransactionGenerator::Make(config, "serve-test");
 
-    TopologyOptions topo;
+    // A fresh grid per rig: runs compared for bit-identity never share
+    // cells.
+    static std::atomic<int> rigs{0};
+    dir = ::testing::TempDir() + "/xf-serve-rig-" +
+          std::to_string(::getpid()) + "-" + std::to_string(rigs++);
+    std::filesystem::remove_all(dir);
+    stream::StreamingOptions topo;
+    topo.dir = dir;
     topo.num_shards = num_shards;
     topo.num_replicas = num_replicas;
     topo.clock = clock;
@@ -314,8 +323,10 @@ struct ServiceRig {
       XF_CHECK(plan.ok());
       topo.plan = plan.value();
     }
-    topology = std::make_unique<ServingTopology>(topo);
-    XF_CHECK(topology->Ingest(ds.graph).ok());
+    auto opened = stream::StreamingTopology::Open(topo);
+    XF_CHECK(opened.ok()) << opened.status().ToString();
+    topology = std::move(opened).value();
+    XF_CHECK(topology->BulkLoad(ds.graph).ok());
 
     features = std::make_unique<kv::FeatureStore>(topology->serving());
 
@@ -338,8 +349,16 @@ struct ServiceRig {
     service->set_fallback(fallback.get());
   }
 
+  ~ServiceRig() {
+    service.reset();
+    features.reset();
+    topology.reset();
+    std::filesystem::remove_all(dir);
+  }
+
   data::SimDataset ds;
-  std::unique_ptr<ServingTopology> topology;
+  std::string dir;
+  std::unique_ptr<stream::StreamingTopology> topology;
   std::unique_ptr<kv::FeatureStore> features;
   std::unique_ptr<core::XFraudDetector> model;
   std::unique_ptr<baselines::RuleScorer> fallback;

@@ -376,6 +376,40 @@ TEST(StreamIngestTest, FanoutRollsLaggingCellsForwardOnDiscard) {
   EXPECT_EQ(t->features()->NumNodes(1).value(), 2);
 }
 
+TEST(StreamIngestTest, BulkLoadFillsEveryReplicaAndUpsertsOnReopen) {
+  data::SimDataset ds = data::TransactionGenerator::BuildDataset(
+      SmallWorkload(), "bulk", 0.7, 0.1, /*split_seed=*/13);
+  StreamingOptions options;
+  options.dir = TempDir("bulk");
+  options.num_shards = 2;
+  options.num_replicas = 2;
+  // A dead replica and flaky reads on the plan: the load bypasses them.
+  auto plan =
+      fault::FaultPlan::Parse("seed=5,kill_replica=0,kv_error_rate=0.05");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  options.plan = plan.value();
+  for (uint64_t want_epoch : {1u, 2u}) {
+    auto topo = StreamingTopology::Open(options);
+    ASSERT_TRUE(topo.ok()) << topo.status().ToString();
+    StreamingTopology* t = topo.value().get();
+    auto epoch = t->BulkLoad(ds.graph);
+    ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+    EXPECT_EQ(epoch.value(), want_epoch);
+    EXPECT_EQ(t->epochs()->published_epoch(), want_epoch);
+    // Both replicas of each shard hold identical rows, and together the
+    // shards hold the whole graph.
+    int64_t rows = 0;
+    for (int s = 0; s < t->num_shards(); ++s) {
+      EXPECT_EQ(t->cell(s, 0)->Count(), t->cell(s, 1)->Count()) << s;
+      rows += t->cell(s, 0)->Count();
+    }
+    kv::MemKvStore reference;
+    ASSERT_TRUE(kv::FeatureStore(&reference).Ingest(ds.graph).ok());
+    EXPECT_EQ(rows, reference.Count());
+  }
+  EXPECT_EQ(StreamingTopology::CellPath("d", 1, 3), "d/cell_1_3");
+}
+
 // ---------------------------------------------------------------------------
 // GraphView pinning and sampler-cache invalidation
 

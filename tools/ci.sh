@@ -194,6 +194,19 @@ if [[ "${MODE}" == "faults" ]]; then
   XFRAUD_FAULT_PLAN="seed=20260805,kill_replica=0,kv_error_rate=0.005" \
     "${BUILD_DIR}/tests/xfraud_tests" --gtest_filter='ServingChaos*'
 
+  # In-process serve-bench smoke: the CLI's StreamingTopology path end to
+  # end — bulk load into log-structured cells under --dir, then hardened
+  # reads under a replica-failure plan on a virtual clock.
+  echo "== in-process serve-bench smoke =="
+  SERVE_TMP="$(mktemp -d /tmp/xfraud-ci-serve.XXXXXX)"
+  trap 'rm -rf "${SERVE_TMP}"' EXIT
+  timeout 300 "${BUILD_DIR}/tools/xfraud_cli" generate \
+    --out "${SERVE_TMP}/log.tsv" --scale small --seed 42
+  timeout 300 "${BUILD_DIR}/tools/xfraud_cli" serve-bench \
+    --log "${SERVE_TMP}/log.tsv" --transport inproc --dir "${SERVE_TMP}/cells" \
+    --virtual-clock --requests 100 \
+    --fault-plan "seed=20260805,kill_replica=0,kv_error_rate=0.005"
+
   # Continuous-ingest chaos leg (DESIGN.md §15): streaming writers publish
   # MVCC epochs while pinned readers score and the compactor GCs, under
   # kill_replica + torn_write + stall_compaction. stream_test.cc asserts

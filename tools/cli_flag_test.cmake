@@ -1,0 +1,27 @@
+# Drives xfraud_cli with malformed numeric flags: each must be refused with
+# "<cmd>: --<flag> expects ..." on stderr and exit code 1 — never an
+# uncaught exception, never a silently truncated value ("4x" read as 4).
+#
+#   cmake -DCLI=<path/to/xfraud_cli> -DOUT=<scratch file> -P cli_flag_test.cmake
+
+function(expect_refused expected)
+  execute_process(COMMAND "${CLI}" ${ARGN}
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT code EQUAL 1)
+    message(FATAL_ERROR "xfraud_cli ${ARGN}: exit '${code}', want 1\n${err}")
+  endif()
+  string(FIND "${err}" "${expected}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "xfraud_cli ${ARGN}: stderr lacks '${expected}':\n${err}")
+  endif()
+endfunction()
+
+expect_refused("generate: --seed expects an integer"
+               generate --out "${OUT}" --seed abc)
+expect_refused("generate: --seed expects an integer"
+               generate --out "${OUT}" --seed 4x)
+expect_refused("serve-worker: --deadline-ms expects a number"
+               serve-worker --cell "${OUT}" --endpoint unix:${OUT}.sock
+               --deadline-ms 5ms)

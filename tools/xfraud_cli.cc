@@ -30,6 +30,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -44,6 +45,14 @@
 namespace xfraud::cli {
 namespace {
 
+/// Thrown by Flags::GetInt/GetDouble on a value that is not wholly a
+/// number; Main reports it and exits 1. Unwinding (rather than exiting in
+/// place) runs destructors, so a half-started tier shuts down cleanly.
+struct FlagError {
+  std::string flag;
+  const char* expects;  // "an integer" / "a number"
+};
+
 struct Flags {
   std::map<std::string, std::string> values;
 
@@ -54,12 +63,28 @@ struct Flags {
     return it == values.end() ? fallback : it->second;
   }
   int GetInt(const std::string& key, int fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : std::stoi(it->second);
+    return GetNumber(key, fallback, "an integer");
   }
   double GetDouble(const std::string& key, double fallback) const {
+    return GetNumber(key, fallback, "a number");
+  }
+
+ private:
+  /// Strict parse: the whole value must be consumed ("4x" is an error, not
+  /// 4), and overflow is an error too.
+  template <typename T>
+  T GetNumber(const std::string& key, T fallback,
+              const char* expects) const {
     auto it = values.find(key);
-    return it == values.end() ? fallback : std::stod(it->second);
+    if (it == values.end()) return fallback;
+    const std::string& text = it->second;
+    T value{};
+    const char* end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (text.empty() || ec != std::errc() || ptr != end) {
+      throw FlagError{key, expects};
+    }
+    return value;
   }
 };
 
@@ -115,10 +140,11 @@ int Usage() {
       "  seed=3,kv_error_rate=0.02,kv_latency_rate=0.01,kv_latency_s=1e-4\n"
       "(see DESIGN.md §10 for the full grammar).\n"
       "\n"
-      "online serving (serve-bench): stands up --shards x --replicas\n"
-      "in-memory KV cells behind the hardened read path (failover, circuit\n"
-      "breakers, hedged reads after --hedge-delay-ms; negative disables\n"
-      "hedging) and scores --requests labeled transactions under a\n"
+      "online serving (serve-bench): bulk-loads --shards x --replicas\n"
+      "log-structured KV cells under --dir (default\n"
+      "/tmp/xfraud-serve-bench) behind the hardened read path (failover,\n"
+      "circuit breakers, hedged reads after --hedge-delay-ms; negative\n"
+      "disables hedging) and scores --requests labeled transactions under a\n"
       "--deadline-ms budget. Admission control sheds requests past\n"
       "--max-inflight concurrent scores: --shed-policy failfast refuses\n"
       "them, degrade answers from the mined-rule prefilter (counted\n"
@@ -501,6 +527,21 @@ int64_t CounterValue(const char* name) {
   return obs::Registry::Global().counter(name)->value();
 }
 
+/// Parses --fault-plan / XFRAUD_FAULT_PLAN; an empty plan when neither is
+/// set.
+Result<fault::FaultPlan> PlanFromFlags(const Flags& flags) {
+  if (flags.Has("fault-plan")) {
+    return fault::FaultPlan::Parse(flags.Get("fault-plan"));
+  }
+  if (std::getenv("XFRAUD_FAULT_PLAN") != nullptr) {
+    return fault::FaultPlan::FromEnv();
+  }
+  return fault::FaultPlan{};
+}
+
+/// Grid directory of both serve-bench transports when --dir is unset.
+constexpr char kServeBenchDir[] = "/tmp/xfraud-serve-bench";
+
 int CmdServeBenchSocket(const Flags& flags, const data::SimDataset& ds);
 
 int CmdServeBench(const Flags& flags) {
@@ -528,31 +569,34 @@ int CmdServeBench(const Flags& flags) {
   Clock* clock =
       flags.Has("virtual-clock") ? &virtual_clock : Clock::Real();
 
-  serve::TopologyOptions topo;
+  auto plan = PlanFromFlags(flags);
+  if (!plan.ok()) {
+    std::cerr << "serve-bench: " << plan.status().ToString() << "\n";
+    return 1;
+  }
+  if (plan.value().any()) {
+    std::cout << "fault plan: " << plan.value().ToString() << "\n";
+  }
+  stream::StreamingOptions topo;
+  topo.dir = flags.Get("dir", kServeBenchDir);
   topo.num_shards = flags.GetInt("shards", 4);
   topo.num_replicas = flags.GetInt("replicas", 3);
   topo.clock = clock;
   topo.replication.hedge_delay_s =
       flags.GetDouble("hedge-delay-ms", -1.0) * 1e-3;
-  if (flags.Has("fault-plan") || std::getenv("XFRAUD_FAULT_PLAN") != nullptr) {
-    Result<fault::FaultPlan> plan =
-        flags.Has("fault-plan")
-            ? fault::FaultPlan::Parse(flags.Get("fault-plan"))
-            : fault::FaultPlan::FromEnv();
-    if (!plan.ok()) {
-      std::cerr << "serve-bench: " << plan.status().ToString() << "\n";
-      return 1;
-    }
-    topo.plan = plan.value();
-    std::cout << "fault plan: " << plan.value().ToString() << "\n";
-  }
-  serve::ServingTopology topology(topo);
-  Status ingest = topology.Ingest(ds.graph);
-  if (!ingest.ok()) {
-    std::cerr << "serve-bench: ingest: " << ingest.ToString() << "\n";
+  topo.plan = plan.value();
+  auto topology = stream::StreamingTopology::Open(topo);
+  if (!topology.ok()) {
+    std::cerr << "serve-bench: " << topology.status().ToString() << "\n";
     return 1;
   }
-  kv::FeatureStore features(topology.serving());
+  Result<uint64_t> ingest = topology.value()->BulkLoad(ds.graph);
+  if (!ingest.ok()) {
+    std::cerr << "serve-bench: ingest: " << ingest.status().ToString()
+              << "\n";
+    return 1;
+  }
+  kv::FeatureStore features(topology.value()->serving());
 
   // Score with the trained checkpoint when given; a fresh seed-initialized
   // detector exercises the identical serving path otherwise.
@@ -680,18 +724,6 @@ int CmdServeBench(const Flags& flags) {
   return WriteMetricsSnapshot(flags);
 }
 
-/// Parses --fault-plan / XFRAUD_FAULT_PLAN; an empty plan when neither is
-/// set.
-Result<fault::FaultPlan> PlanFromFlags(const Flags& flags) {
-  if (flags.Has("fault-plan")) {
-    return fault::FaultPlan::Parse(flags.Get("fault-plan"));
-  }
-  if (std::getenv("XFRAUD_FAULT_PLAN") != nullptr) {
-    return fault::FaultPlan::FromEnv();
-  }
-  return fault::FaultPlan{};
-}
-
 /// serve-bench --transport=socket: the real multi-process tier. The
 /// Supervisor forks one shard-server process per grid slot; the bench
 /// drives a frame-speaking Router at them and reports *end-to-end wire*
@@ -709,7 +741,7 @@ int CmdServeBenchSocket(const Flags& flags, const data::SimDataset& ds) {
   }
 
   serve::SupervisorOptions sup_options;
-  sup_options.dir = flags.Get("dir", "/tmp/xfraud-serve-bench");
+  sup_options.dir = flags.Get("dir", kServeBenchDir);
   sup_options.num_shards = flags.GetInt("shards", 2);
   sup_options.num_replicas = flags.GetInt("replicas", 2);
   sup_options.detector = ConfigFor(ds.graph, flags);
@@ -743,6 +775,7 @@ int CmdServeBenchSocket(const Flags& flags, const data::SimDataset& ds) {
   const int64_t failovers_before = CounterValue("serve/router/failovers");
   const int64_t opens_before = CounterValue("serve/router/breaker_opens");
   const int64_t corrupt_before = CounterValue("serve/router/corrupt_retries");
+  const int64_t dials_before = CounterValue("serve/router/dials");
   const int64_t redials_before = CounterValue("serve/router/redials");
 
   std::vector<double> ok_latencies;
@@ -792,6 +825,9 @@ int CmdServeBenchSocket(const Flags& flags, const data::SimDataset& ds) {
   table.AddRow({"corrupt-frame retries",
                 std::to_string(CounterValue("serve/router/corrupt_retries") -
                                corrupt_before)});
+  table.AddRow({"dials",
+                std::to_string(CounterValue("serve/router/dials") -
+                               dials_before)});
   table.AddRow({"redials",
                 std::to_string(CounterValue("serve/router/redials") -
                                redials_before)});
@@ -1055,14 +1091,20 @@ int Main(int argc, char** argv) {
     return Usage();
   }
   if (flags.value().Has("trace")) obs::SetTraceLogging(true);
-  if (command == "generate") return CmdGenerate(flags.value());
-  if (command == "train") return CmdTrain(flags.value());
-  if (command == "score") return CmdScore(flags.value());
-  if (command == "explain") return CmdExplain(flags.value());
-  if (command == "serve-bench") return CmdServeBench(flags.value());
-  if (command == "serve-worker") return CmdServeWorker(flags.value());
-  if (command == "dist-bench") return CmdDistBench(flags.value());
-  if (command == "dist-worker") return CmdDistWorker(flags.value());
+  try {
+    if (command == "generate") return CmdGenerate(flags.value());
+    if (command == "train") return CmdTrain(flags.value());
+    if (command == "score") return CmdScore(flags.value());
+    if (command == "explain") return CmdExplain(flags.value());
+    if (command == "serve-bench") return CmdServeBench(flags.value());
+    if (command == "serve-worker") return CmdServeWorker(flags.value());
+    if (command == "dist-bench") return CmdDistBench(flags.value());
+    if (command == "dist-worker") return CmdDistWorker(flags.value());
+  } catch (const FlagError& e) {
+    std::cerr << command << ": --" << e.flag << " expects " << e.expects
+              << "\n";
+    return 1;
+  }
   return Usage();
 }
 
