@@ -27,8 +27,8 @@ inline bool FastMode() {
 
 /// XFRAUD_SAMPLE_WORKERS overrides the benches' BatchLoader worker count
 /// (default 0 = serial, keeping the timed sections free of thread
-/// contention on the single-core reproduction host; results are
-/// bit-identical at any setting).
+/// contention: the simulated workers exceed the host's cores, so overlap
+/// is modeled; results are bit-identical at any setting).
 inline int SampleWorkersFromEnv(int fallback = 0) {
   const char* env = std::getenv("XFRAUD_SAMPLE_WORKERS");
   return env != nullptr ? std::atoi(env) : fallback;

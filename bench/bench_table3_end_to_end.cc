@@ -12,7 +12,8 @@
 //
 // All 12 runs share one synthetic workload; "train s/epoch" is the
 // simulated cluster epoch time (max over workers of measured per-worker
-// compute + modeled sync; this host has one core — see DESIGN.md).
+// compute + modeled sync; the kappa workers exceed the host's cores, so
+// their overlap is modeled — see DESIGN.md).
 
 #include <cmath>
 #include <map>
@@ -206,8 +207,8 @@ void PrintThresholdTables(const std::vector<RunResult>& runs) {
 // sample/compute split plus the overlap-model epoch time derived from
 // those same measurements (sample + compute serial, max(sample, compute)
 // pipelined), so the speedup column is insensitive to machine load.
-// On a multi-core host the wall column itself shows the win; this
-// reproduction host has one core, so concurrency is modeled, like the
+// With a core per worker the wall column itself shows the win; here the
+// kappa workers exceed the host's cores, so overlap is modeled, like the
 // distributed simulation (DESIGN.md §1).
 void PipelineAblation(int epochs) {
   std::cout << "\n-- Batch pipeline ablation: serial vs pipelined sampling "

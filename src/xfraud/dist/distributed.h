@@ -18,14 +18,6 @@ class FaultInjector;
 
 namespace xfraud::dist {
 
-/// Stream tags of the distributed simulation's independent sampling roots
-/// (per-worker training streams and the rank-0 evaluation stream). Shared
-/// with the multi-process worker (dist/worker.h), which must derive the
-/// exact same per-(epoch, rank) loader streams for a fault-free socket run
-/// to be bit-identical to the in-process run.
-inline constexpr uint64_t kDistSampleTag = 0x44495354ULL;  // "DIST"
-inline constexpr uint64_t kDistEvalTag = 0x4456414CULL;    // "DVAL"
-
 /// What the cluster does when a worker dies mid-epoch (the fault model a
 /// production DDP job needs; injected deterministically via
 /// fault::FaultInjector for tests).
@@ -106,9 +98,10 @@ struct DistributedEpoch {
   /// epoch cost is sample+compute on the serial path, and
   /// max(sample, compute) when sampler workers pipeline batches ahead of
   /// the gradient step (train.num_sample_workers > 0), since sampling then
-  /// overlaps compute. (This host has one core, so thread wall-clock would
-  /// not show the paper's speedup; the per-worker costs are measured for
-  /// real, only the overlap is modeled. See DESIGN.md §1.)
+  /// overlaps compute. (The kappa workers outnumber the host's cores, so
+  /// thread wall-clock would not show the paper's speedup; the per-worker
+  /// costs are measured for real, only the overlap is modeled. See
+  /// DESIGN.md §1.)
   double simulated_cluster_seconds = 0.0;
   /// Fault accounting: which worker died this epoch (-1 = none), how many
   /// of its batches survivors absorbed (elastic), whether the epoch was

@@ -98,21 +98,23 @@ Result<ProcessClusterReport> RunProcessCluster(
       return Status::DeadlineExceeded(
           "process cluster exceeded its overall timeout");
     }
+    // Poll only this cluster's own pids: waitpid(-1) would also reap (and
+    // discard the status of) children the calling process forked itself.
     int status = 0;
-    pid_t pid = ::waitpid(-1, &status, WNOHANG);
-    if (pid == 0 || (pid < 0 && errno == EINTR)) {
+    int rank = -1;
+    for (int r = 0; r < world && rank < 0; ++r) {
+      const pid_t pid = children[static_cast<size_t>(r)].pid;
+      const pid_t reaped = pid > 0 ? ::waitpid(pid, &status, WNOHANG) : 0;
+      if (reaped < 0 && errno != EINTR) {
+        KillRemaining(&children);
+        return Status::IoError("waitpid failed while supervising dist workers");
+      }
+      if (reaped > 0) rank = r;
+    }
+    if (rank < 0) {
       clock->SleepFor(0.01);
       continue;
     }
-    if (pid < 0) {
-      KillRemaining(&children);
-      return Status::IoError("waitpid failed while supervising dist workers");
-    }
-    int rank = -1;
-    for (int r = 0; r < world; ++r) {
-      if (children[static_cast<size_t>(r)].pid == pid) rank = r;
-    }
-    if (rank < 0) continue;  // not one of ours (shouldn't happen)
     Child& child = children[static_cast<size_t>(rank)];
     child.pid = -1;
     if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {

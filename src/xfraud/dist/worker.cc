@@ -12,15 +12,11 @@
 #include "xfraud/common/atomic_file.h"
 #include "xfraud/common/logging.h"
 #include "xfraud/common/timer.h"
-#include "xfraud/dist/partition.h"
+#include "xfraud/dist/ddp_rank.h"
 #include "xfraud/dist/socket_transport.h"
 #include "xfraud/fault/fault_injector.h"
-#include "xfraud/graph/subgraph.h"
-#include "xfraud/nn/ops.h"
 #include "xfraud/nn/optim.h"
 #include "xfraud/nn/serialize.h"
-#include "xfraud/sample/batch_loader.h"
-#include "xfraud/train/trainer.h"
 
 namespace xfraud::dist {
 
@@ -87,9 +83,7 @@ struct WorkerState {
   int32_t next_epoch = 0;
   double best_val_auc = 0.0;
   int32_t stale = 0;
-  xfraud::Rng::State rng;
-  uint64_t cursor = 0;
-  std::vector<int32_t> order;  // shuffled local train seeds
+  DdpRank::Walk walk;
 };
 
 Status SaveWorkerCheckpoint(const std::string& path, uint64_t seed,
@@ -103,13 +97,14 @@ Status SaveWorkerCheckpoint(const std::string& path, uint64_t seed,
   WritePod(out, st.next_epoch);
   WritePod(out, st.best_val_auc);
   WritePod(out, st.stale);
-  for (uint64_t s : st.rng.s) WritePod(out, s);
-  WritePod(out, static_cast<uint8_t>(st.rng.has_cached_gaussian ? 1 : 0));
-  WritePod(out, st.rng.cached_gaussian);
-  WritePod(out, st.cursor);
-  WritePod(out, static_cast<int64_t>(st.order.size()));
-  out.write(reinterpret_cast<const char*>(st.order.data()),
-            static_cast<std::streamsize>(st.order.size() * sizeof(int32_t)));
+  const DdpRank::Walk& walk = st.walk;
+  for (uint64_t s : walk.rng.s) WritePod(out, s);
+  WritePod(out, static_cast<uint8_t>(walk.rng.has_cached_gaussian ? 1 : 0));
+  WritePod(out, walk.rng.cached_gaussian);
+  WritePod(out, walk.cursor);
+  WritePod(out, static_cast<int64_t>(walk.order.size()));
+  out.write(reinterpret_cast<const char*>(walk.order.data()),
+            static_cast<std::streamsize>(walk.order.size() * sizeof(int32_t)));
 
   const std::vector<nn::Tensor>& m = optimizer.first_moments();
   const std::vector<nn::Tensor>& v = optimizer.second_moments();
@@ -155,20 +150,22 @@ Status LoadWorkerCheckpoint(const std::string& path, uint64_t seed,
         "worker checkpoint " + path + " was written by a run with seed " +
         std::to_string(saved_seed) + ", not " + std::to_string(seed));
   }
+  DdpRank::Walk& walk = st->walk;
   uint8_t has_gauss = 0;
   int64_t order_count = 0;
   bool ok = ReadPod(in, &st->next_epoch) && ReadPod(in, &st->best_val_auc) &&
             ReadPod(in, &st->stale);
-  for (uint64_t& s : st->rng.s) ok = ok && ReadPod(in, &s);
-  ok = ok && ReadPod(in, &has_gauss) && ReadPod(in, &st->rng.cached_gaussian) &&
-       ReadPod(in, &st->cursor) && ReadPod(in, &order_count);
+  for (uint64_t& s : walk.rng.s) ok = ok && ReadPod(in, &s);
+  ok = ok && ReadPod(in, &has_gauss) &&
+       ReadPod(in, &walk.rng.cached_gaussian) && ReadPod(in, &walk.cursor) &&
+       ReadPod(in, &order_count);
   if (!ok || order_count < 0 || st->next_epoch < 0) {
     return Status::Corruption("truncated worker checkpoint: " + path);
   }
-  st->rng.has_cached_gaussian = has_gauss != 0;
-  st->order.resize(static_cast<size_t>(order_count));
-  in.read(reinterpret_cast<char*>(st->order.data()),
-          static_cast<std::streamsize>(st->order.size() * sizeof(int32_t)));
+  walk.rng.has_cached_gaussian = has_gauss != 0;
+  walk.order.resize(static_cast<size_t>(order_count));
+  in.read(reinterpret_cast<char*>(walk.order.data()),
+          static_cast<std::streamsize>(walk.order.size() * sizeof(int32_t)));
   int64_t param_count = 0;
   if (!in || !ReadPod(in, &param_count) ||
       param_count != static_cast<int64_t>(params->size())) {
@@ -293,94 +290,39 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
   XF_CHECK_EQ(options.dist.num_workers, world);
   XF_CHECK(!options.dist.kv_backed_loaders)
       << "kv_backed_loaders is not supported in multi-process mode";
-  if (world > 1 && options.fault_plan.kill_worker == 0) {
+  XF_RETURN_IF_ERROR(ValidateKillPlan(options.fault_plan, world));
+  if (options.fault_plan.kill_worker == 0) {
     return Status::InvalidArgument(
         "multi-process mode cannot kill rank 0: it hosts the rendezvous and "
         "owns the run's history (see DESIGN.md §12)");
   }
   const train::TrainOptions& topt = options.dist.train;
 
-  // Model + optimizer, identical on every rank (same init stream).
+  // The model is identical on every rank (same init stream). Every rank
+  // recomputes the full deterministic partition (same seed, same PIC/k-means
+  // draws), then materializes only its own shard.
   xfraud::Rng model_rng(options.model_seed);
   core::XFraudDetector model(options.detector, &model_rng);
   std::vector<nn::NamedParameter> params = model.Parameters();
-  nn::AdamW optimizer(params,
-                      nn::AdamWOptions{.lr = topt.lr,
-                                       .weight_decay = topt.weight_decay});
-
-  // ---- Partition, exactly like DistributedTrainer::Train ------------------
-  // Every rank recomputes the full deterministic partition (same seed, same
-  // PIC/k-means draws), then materializes only its own induced subgraph.
-  xfraud::Rng prng(topt.seed * 0x2545F491ULL + 0xBEEF);
-  std::vector<int> worker_of =
-      PartitionForWorkers(ds.graph, options.dist.num_clusters, world, &prng);
-  std::vector<std::vector<int32_t>> worker_nodes(static_cast<size_t>(world));
-  for (int64_t v = 0; v < ds.graph.num_nodes(); ++v) {
-    worker_nodes[static_cast<size_t>(worker_of[static_cast<size_t>(v)])]
-        .push_back(static_cast<int32_t>(v));
-  }
-  std::vector<int8_t> in_train(static_cast<size_t>(ds.graph.num_nodes()), 0);
-  for (int32_t v : ds.train_nodes) in_train[static_cast<size_t>(v)] = 1;
-
-  std::vector<int32_t> local_to_global;
-  graph::HeteroGraph my_graph = graph::InducedGraph(
-      ds.graph, worker_nodes[static_cast<size_t>(rank)], &local_to_global);
-  std::vector<int32_t> local_train;
-  for (size_t local = 0; local < local_to_global.size(); ++local) {
-    if (in_train[static_cast<size_t>(local_to_global[local])]) {
-      local_train.push_back(static_cast<int32_t>(local));
-    }
-  }
-
-  // Steps per epoch: the busiest rank's batch count (same formula as the
-  // in-process driver; a partition's train count equals its local_train
-  // size there).
-  size_t max_train = 1;
-  for (int w = 0; w < world; ++w) {
-    size_t n = 0;
-    for (int32_t v : worker_nodes[static_cast<size_t>(w)]) {
-      n += in_train[static_cast<size_t>(v)] != 0 ? 1u : 0u;
-    }
-    max_train = std::max(max_train, n);
-  }
-  const int64_t steps_per_epoch = static_cast<int64_t>(
-      (max_train + static_cast<size_t>(topt.batch_size) - 1) /
-      static_cast<size_t>(topt.batch_size));
-
+  const DdpPartition partition = PartitionRanks(ds, options.dist);
   sample::SageSampler train_sampler(options.sampler_hops,
                                     options.sampler_fanout);
-  const sample::LoaderOptions loader_opts{
-      .num_workers = topt.num_sample_workers,
-      .prefetch_depth = topt.prefetch_depth};
-  const bool pipelined = loader_opts.num_workers > 0;
-
-  xfraud::Rng wrng(topt.seed + 1000 + static_cast<uint64_t>(rank));
-  wrng.Shuffle(&local_train);
-  size_t cursor = 0;
-  int start_epoch = 0;
-  double best = 0.0;
-  int stale = 0;
+  DdpRank ddp(ds, partition, rank, topt, &model, &train_sampler);
+  nn::AdamW& optimizer = ddp.optimizer();
 
   // Resume: a restarted rank picks up from its last epoch-boundary image.
+  // `state` also carries the early-stopping record through the run.
   const std::string ckpt_path =
       options.checkpoint_dir + "/rank-" + std::to_string(rank) + ".ckpt";
-  {
-    WorkerState loaded;
-    Status resumed =
-        LoadWorkerCheckpoint(ckpt_path, topt.seed, &loaded, &params,
-                             &optimizer);
-    if (resumed.ok()) {
-      start_epoch = loaded.next_epoch;
-      best = loaded.best_val_auc;
-      stale = loaded.stale;
-      wrng.SetState(loaded.rng);
-      cursor = static_cast<size_t>(loaded.cursor);
-      local_train = loaded.order;
-      XF_LOG(Info) << "dist worker " << rank << " resumed at epoch "
-                   << start_epoch << " from " << ckpt_path;
-    } else if (!resumed.IsNotFound()) {
-      return resumed;
-    }
+  WorkerState state;
+  Status resumed =
+      LoadWorkerCheckpoint(ckpt_path, topt.seed, &state, &params, &optimizer);
+  if (resumed.ok()) {
+    ddp.RestoreWalk(state.walk);
+    XF_LOG(Info) << "dist worker " << rank << " resumed at epoch "
+                 << state.next_epoch << " from " << ckpt_path;
+  } else if (!resumed.IsNotFound()) {
+    return resumed;
   }
 
   fault::FaultInjector injector(options.fault_plan);
@@ -419,142 +361,43 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
   };
   XF_RETURN_IF_ERROR(connect());
 
-  // Rank-0 evaluation on the full graph, same stream/sampler/batching as the
-  // in-process driver.
-  sample::SageSampler eval_sampler(2, 12);
-  const uint64_t eval_stream =
-      xfraud::Rng::StreamSeed(topt.seed, kDistEvalTag);
-  auto evaluate = [&]() {
-    train::EvalResult eval;
-    core::ForwardOptions fwd;
-    sample::BatchLoader loader(
-        &ds.graph, &eval_sampler,
-        sample::BatchLoader::MakeSeedBatches(ds.val_nodes, 640), eval_stream,
-        loader_opts);
-    while (auto loaded = loader.Next()) {
-      nn::Var logits = model.Forward(loaded->batch, fwd);
-      auto probs = train::FraudProbabilities(logits);
-      eval.scores.insert(eval.scores.end(), probs.begin(), probs.end());
-      eval.labels.insert(eval.labels.end(),
-                         loaded->batch.target_labels.begin(),
-                         loaded->batch.target_labels.end());
-    }
-    eval.auc = train::RocAuc(eval.scores, eval.labels);
-    return eval;
-  };
-
   DistributedResult result;
   if (rank == 0) {
-    for (int w = 0; w < world; ++w) {
-      result.partition_nodes.push_back(
-          static_cast<int64_t>(worker_nodes[static_cast<size_t>(w)].size()));
-    }
-    int64_t cut = 0;
-    for (int64_t v = 0; v < ds.graph.num_nodes(); ++v) {
-      for (int64_t e = ds.graph.InDegreeBegin(static_cast<int32_t>(v));
-           e < ds.graph.InDegreeEnd(static_cast<int32_t>(v)); ++e) {
-        cut += worker_of[static_cast<size_t>(ds.graph.neighbors()[e])] !=
-               worker_of[static_cast<size_t>(v)];
-      }
-    }
-    result.edge_cut_fraction =
-        ds.graph.num_edges() > 0
-            ? static_cast<double>(cut) / ds.graph.num_edges()
-            : 0.0;
+    result.partition_nodes = partition.partition_nodes;
+    result.edge_cut_fraction = partition.edge_cut_fraction;
   }
 
   // ---- Epoch loop ---------------------------------------------------------
   int recovery_rounds = 0;
   const float inv_world = 1.0f / static_cast<float>(world);
-  for (int epoch = start_epoch; epoch < topt.max_epochs; ++epoch) {
-    {
-      WorkerState snap;
-      snap.next_epoch = epoch;
-      snap.best_val_auc = best;
-      snap.stale = stale;
-      snap.rng = wrng.GetState();
-      snap.cursor = static_cast<uint64_t>(cursor);
-      snap.order = local_train;
-      XF_RETURN_IF_ERROR(
-          SaveWorkerCheckpoint(ckpt_path, topt.seed, snap, params,
-                               optimizer));
-    }
+  for (int epoch = state.next_epoch; epoch < topt.max_epochs; ++epoch) {
+    state.next_epoch = epoch;
+    state.walk = ddp.walk();
+    XF_RETURN_IF_ERROR(
+        SaveWorkerCheckpoint(ckpt_path, topt.seed, state, params, optimizer));
 
     WallTimer epoch_timer;
     bool restarted_this_epoch = false;
     double recovery_seconds = 0.0;
     double train_loss = 0.0;
     double val_auc = 0.0;
-    double sample_seconds = 0.0;
-    double compute_seconds = 0.0;
     std::vector<std::vector<float>> gathered;
 
     for (;;) {
       const double comm_at_start = comm->comm_seconds();
       const bool suppress = options.suppress_kill || restarted_this_epoch;
       Status attempt = [&]() -> Status {
-        sample_seconds = 0.0;
-        compute_seconds = 0.0;
-        double loss_sum = 0.0;
-        int64_t steps = 0;
-        // Plan this rank's epoch up front (cursor walk with reshuffle on
-        // wrap, dedup within a batch) — the same walk, against the same rng,
-        // as the in-process driver.
-        std::unique_ptr<sample::BatchLoader> loader;
-        if (!local_train.empty()) {
-          std::vector<std::vector<int32_t>> plan;
-          plan.reserve(static_cast<size_t>(steps_per_epoch));
-          for (int64_t step = 0; step < steps_per_epoch; ++step) {
-            std::vector<int32_t> seeds;
-            for (int b = 0; b < topt.batch_size; ++b) {
-              if (cursor >= local_train.size()) {
-                cursor = 0;
-                wrng.Shuffle(&local_train);
-              }
-              seeds.push_back(local_train[cursor++]);
-            }
-            std::sort(seeds.begin(), seeds.end());
-            seeds.erase(std::unique(seeds.begin(), seeds.end()),
-                        seeds.end());
-            plan.push_back(std::move(seeds));
-          }
-          loader = std::make_unique<sample::BatchLoader>(
-              &my_graph, &train_sampler, std::move(plan),
-              xfraud::Rng::StreamSeed(
-                  xfraud::Rng::StreamSeed(topt.seed, kDistSampleTag),
-                  static_cast<uint64_t>(epoch) *
-                          static_cast<uint64_t>(world) +
-                      static_cast<uint64_t>(rank)),
-              loader_opts);
-        }
-        for (int64_t step = 0; step < steps_per_epoch; ++step) {
+        ddp.PlanEpoch(epoch);
+        for (int64_t step = 0; step < partition.steps_per_epoch; ++step) {
           if (!suppress && injector.ShouldKillWorker(rank, epoch, step)) {
             XF_LOG(Info) << "dist worker " << rank
                          << " executing planned SIGKILL at epoch " << epoch
                          << " step " << step;
             fault::KillCurrentProcess();
           }
-          if (loader != nullptr) {
-            auto loaded = loader->Next();
-            XF_CHECK(loaded.has_value());
-            sample_seconds += loaded->sample_seconds;
-            WallTimer t;
-            core::ForwardOptions fwd;
-            fwd.training = true;
-            fwd.rng = &wrng;
-            nn::Var logits = model.Forward(loaded->batch, fwd);
-            nn::Var loss = nn::CrossEntropy(
-                logits, loaded->batch.target_labels, topt.class_weights);
-            optimizer.ZeroGrad();
-            loss.Backward();
-            loss_sum += loss.item();
-            ++steps;
-            compute_seconds += t.ElapsedSeconds();
-          } else {
-            // A partition-less rank contributes zero gradient but still
-            // participates in every collective.
-            for (auto& p : params) p.var.ZeroGrad();
-          }
+          // A partition-less rank contributes zero gradient but still
+          // participates in every collective.
+          ddp.Step();
           for (auto& p : params) {
             nn::Tensor& g = p.var.grad();
             XF_RETURN_IF_ERROR(comm->AllReduceSum(std::span<float>(
@@ -564,23 +407,24 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
             // recovery re-runs the epoch at full strength, never elastic.
             g.ScaleInPlace(inv_world);
           }
-          optimizer.ClipGradNorm(topt.clip);
-          optimizer.Step();
+          ddp.Update();
         }
+        ddp.EndEpoch();
         // Cluster loss: the ring's ascending-rank fold reproduces the
         // serial driver's worker-order accumulation bit for bit.
-        double loss_buf[2] = {loss_sum, static_cast<double>(steps)};
+        const RankEpochCost& cost = ddp.cost();
+        double loss_buf[2] = {cost.loss_sum, static_cast<double>(cost.steps)};
         XF_RETURN_IF_ERROR(
             comm->AllReduceSum(std::span<double>(loss_buf, 2)));
         train_loss = loss_buf[1] > 0.0 ? loss_buf[0] / loss_buf[1] : 0.0;
         double val_buf[1] = {0.0};
-        if (rank == 0) val_buf[0] = evaluate().auc;
+        if (rank == 0) val_buf[0] = ValidationAuc(model, ds, topt);
         XF_RETURN_IF_ERROR(
             comm->Broadcast(std::span<double>(val_buf, 1), 0));
         val_auc = val_buf[0];
         const float my_stats[3] = {
-            static_cast<float>(sample_seconds),
-            static_cast<float>(compute_seconds),
+            static_cast<float>(cost.sample_seconds),
+            static_cast<float>(cost.compute_seconds),
             static_cast<float>(comm->comm_seconds() - comm_at_start)};
         gathered.clear();
         return comm->Gather(std::span<const float>(my_stats, 3), 0,
@@ -599,15 +443,10 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
       WallTimer recovery_timer;
       comm->Shutdown();
       comm = nullptr;
-      WorkerState snap;
-      XF_RETURN_IF_ERROR(LoadWorkerCheckpoint(ckpt_path, topt.seed, &snap,
+      XF_RETURN_IF_ERROR(LoadWorkerCheckpoint(ckpt_path, topt.seed, &state,
                                               &params, &optimizer));
-      XF_CHECK_EQ(snap.next_epoch, epoch);
-      best = snap.best_val_auc;
-      stale = snap.stale;
-      wrng.SetState(snap.rng);
-      cursor = static_cast<size_t>(snap.cursor);
-      local_train = snap.order;
+      XF_CHECK_EQ(state.next_epoch, epoch);
+      ddp.RestoreWalk(state.walk);
       ++generation;
       XF_RETURN_IF_ERROR(connect());
       restarted_this_epoch = true;
@@ -621,55 +460,31 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
       stats.train_loss = train_loss;
       stats.val_auc = val_auc;
       stats.wall_seconds = epoch_timer.ElapsedSeconds();
-      double slowest = 0.0;
+      std::vector<RankEpochCost> costs;
       double measured_comm = 0.0;
       for (const std::vector<float>& g : gathered) {
         XF_CHECK_EQ(g.size(), static_cast<size_t>(3));
-        const double s = g[0], c = g[1], cm = g[2];
-        stats.max_worker_sample_seconds =
-            std::max(stats.max_worker_sample_seconds, s);
-        stats.max_worker_compute_seconds =
-            std::max(stats.max_worker_compute_seconds, c);
-        slowest = std::max(slowest, pipelined ? std::max(s, c) : s + c);
-        measured_comm = std::max(measured_comm, cm);
+        costs.push_back({.sample_seconds = g[0], .compute_seconds = g[1]});
+        measured_comm = std::max(measured_comm, static_cast<double>(g[2]));
       }
-      // The socket backend measures its sync cost, so modeled_sync_seconds
-      // stays zero — the split DistributedEpoch documents.
-      stats.measured_comm_seconds = measured_comm;
-      stats.simulated_cluster_seconds = slowest + stats.sync_seconds();
       stats.restarted = restarted_this_epoch;
       stats.recovery_seconds = recovery_seconds;
-      result.history.push_back(stats);
-      if (topt.verbose) {
-        XF_LOG(Info) << "dist-mp(" << world << ") epoch " << epoch
-                     << " loss " << stats.train_loss << " val_auc "
-                     << stats.val_auc << " sim "
-                     << stats.simulated_cluster_seconds << "s";
-      }
+      // The socket backend measures its sync cost, so modeled_sync_seconds
+      // stays zero — the split DistributedEpoch documents.
+      RecordEpoch(stats, costs, measured_comm, /*modeled_sync_seconds=*/0.0,
+                  topt, &result);
     }
 
     // Early stopping, decided identically on every rank from the broadcast
-    // val AUC (same comparison as the in-process driver).
-    if (val_auc > best) {
-      best = val_auc;
-      stale = 0;
-    } else if (++stale >= topt.patience) {
+    // val AUC.
+    if (StopEarly(val_auc, topt.patience, &state.best_val_auc, &state.stale)) {
       break;
     }
   }
 
-  result.best_val_auc = best;
+  result.best_val_auc = state.best_val_auc;
   if (rank == 0) {
-    for (const DistributedEpoch& e : result.history) {
-      result.mean_wall_epoch_seconds += e.wall_seconds;
-      result.mean_simulated_epoch_seconds += e.simulated_cluster_seconds;
-    }
-    if (!result.history.empty()) {
-      result.mean_wall_epoch_seconds /=
-          static_cast<double>(result.history.size());
-      result.mean_simulated_epoch_seconds /=
-          static_cast<double>(result.history.size());
-    }
+    SetResultMeans(&result);
     XF_RETURN_IF_ERROR(nn::SaveParameters(
         params, options.checkpoint_dir + "/final_model.ckpt"));
     XF_RETURN_IF_ERROR(

@@ -52,13 +52,13 @@ struct DistWorkerOptions {
   int max_recovery_rounds = 3;
 };
 
-/// Runs one rank to completion: partitions ds.graph exactly like
-/// DistributedTrainer (same seeds, same streams, same reduction order — a
-/// fault-free socket run is bit-identical to the in-process run), trains
-/// over the socket ring, writes a checkpoint at every epoch boundary, and
-/// on a collective failure rolls back to that checkpoint, re-rendezvouses
-/// under the next generation, and re-runs the epoch (restart-epoch
-/// recovery).
+/// Runs one rank of the DDP recipe DistributedTrainer also runs
+/// (dist/ddp_rank.h; a fault-free socket run is bit-identical to the
+/// in-process run) over the socket ring, writes a checkpoint at every epoch
+/// boundary, and on a collective failure rolls back to that checkpoint,
+/// re-rendezvouses under the next generation, and re-runs the epoch
+/// (restart-epoch recovery). A kill plan ValidateKillPlan refuses, or one
+/// that kills rank 0, is an InvalidArgument.
 ///
 /// Rank 0 additionally evaluates on the full graph each epoch, decides
 /// early stopping (broadcast to all ranks), writes `result.bin` and

@@ -122,15 +122,18 @@ Result<pid_t> Supervisor::ForkServer(int index, uint64_t generation,
 }
 
 bool Supervisor::ReapOnce() {
-  int status = 0;
-  pid_t pid = ::waitpid(-1, &status, WNOHANG);
-  if (pid <= 0) return false;
   std::lock_guard<std::mutex> lock(mu_);
+  // Poll only the grid's own pids: waitpid(-1) would also reap (and discard
+  // the status of) children the hosting process forked itself.
+  int status = 0;
   int index = -1;
-  for (size_t i = 0; i < servers_.size(); ++i) {
-    if (servers_[i].pid == pid) index = static_cast<int>(i);
+  for (size_t i = 0; i < servers_.size() && index < 0; ++i) {
+    const pid_t pid = servers_[i].pid;
+    if (pid > 0 && ::waitpid(pid, &status, WNOHANG) == pid) {
+      index = static_cast<int>(i);
+    }
   }
-  if (index < 0) return true;  // not one of ours
+  if (index < 0) return false;
   Server& server = servers_[static_cast<size_t>(index)];
   server.pid = -1;
   server.health_conn.Reset();

@@ -127,8 +127,8 @@ class Supervisor {
   Result<pid_t> ForkServer(int index, uint64_t generation,
                            bool suppress_kill);
   void MonitorLoop();
-  /// One waitpid sweep; respawns signal deaths. Returns true if any child
-  /// state changed.
+  /// One non-blocking waitpid sweep over the grid's own pids; respawns a
+  /// signal death. Returns true if a server was reaped.
   bool ReapOnce();
   void PingServers();
 

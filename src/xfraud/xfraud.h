@@ -54,6 +54,7 @@
 #include "xfraud/data/log_io.h"
 #include "xfraud/data/prefilter.h"
 #include "xfraud/dist/communicator.h"
+#include "xfraud/dist/ddp_rank.h"
 #include "xfraud/dist/distributed.h"
 #include "xfraud/dist/launcher.h"
 #include "xfraud/dist/partition.h"

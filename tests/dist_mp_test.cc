@@ -21,6 +21,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "xfraud/core/detector.h"
@@ -29,6 +30,7 @@
 #include "xfraud/dist/launcher.h"
 #include "xfraud/dist/worker.h"
 #include "xfraud/fault/fault_plan.h"
+#include "xfraud/nn/serialize.h"
 #include "xfraud/sample/sampler.h"
 
 namespace xfraud::dist {
@@ -144,6 +146,20 @@ TEST_F(MultiProcess, SocketClusterMatchesInProcessBitIdentically) {
   EXPECT_EQ(mp.partition_nodes, inproc.partition_nodes);
   EXPECT_DOUBLE_EQ(mp.edge_cut_fraction, inproc.edge_cut_fraction);
 
+  // The trained weights, not just the metrics: rank 0's final model holds
+  // in-process replica 0's parameters to the last bit.
+  std::vector<nn::NamedParameter> want = replicas[0]->Parameters();
+  Rng fresh_rng(1);
+  core::XFraudDetector fresh(cluster.worker.detector, &fresh_rng);
+  std::vector<nn::NamedParameter> got = fresh.Parameters();
+  ASSERT_TRUE(nn::LoadParameters(dir + "/final_model.ckpt", &got).ok());
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].name, want[i].name);
+    EXPECT_TRUE(got[i].var.value().BitwiseEqual(want[i].var.value()))
+        << got[i].name;
+  }
+
   std::filesystem::remove_all(dir);
 }
 
@@ -213,6 +229,27 @@ TEST_F(MultiProcess, ExhaustedRestartBudgetFailsTheRun) {
   EXPECT_NE(report.status().message().find("restart budget"),
             std::string::npos)
       << report.status().ToString();
+  std::filesystem::remove_all(dir);
+}
+
+/// The launcher reaps only its own ranks: a child the calling process forked
+/// itself keeps its exit status for the caller to collect.
+TEST_F(MultiProcess, LauncherLeavesForeignChildrenUnreaped) {
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) ::_exit(7);
+
+  const std::string dir = MakeDir("foreign");
+  ProcessClusterOptions options;
+  options.worker = BaseOptions(/*world=*/2, /*epochs=*/1, dir);
+  options.overall_timeout_s = 240.0;
+  auto report = RunProcessCluster(*ds_, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  int status = 0;
+  EXPECT_EQ(::waitpid(child, &status, 0), child);
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 7);
   std::filesystem::remove_all(dir);
 }
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "xfraud/common/frame.h"
@@ -580,6 +581,28 @@ TEST_F(MultiProcessServe, CorruptedFrameIsDetectedAndRetried) {
             1);
   EXPECT_EQ(sup.value()->injector()->injected_frame_corruptions(), 1);
   EXPECT_EQ(sup.value()->restarts(), 0);  // wire damage is not a death
+  EXPECT_TRUE(sup.value()->Stop().ok());
+  std::filesystem::remove_all(dir);
+}
+
+/// The supervisor reaps only its own shard servers: a child the hosting
+/// process forked itself keeps its exit status for the host to collect.
+TEST_F(MultiProcessServe, SupervisorLeavesForeignChildrenUnreaped) {
+  std::string dir = MakeDir("foreign");
+  auto sup = Supervisor::Start(ds_->graph,
+                               TierOptions(dir, 1, 1, fault::FaultPlan{}));
+  ASSERT_TRUE(sup.ok()) << sup.status().ToString();
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) ::_exit(7);
+  ::usleep(300 * 1000);  // many monitor sweeps while the child is a zombie
+
+  int status = 0;
+  EXPECT_EQ(::waitpid(child, &status, 0), child);
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 7);
+  EXPECT_EQ(sup.value()->restarts(), 0);
   EXPECT_TRUE(sup.value()->Stop().ok());
   std::filesystem::remove_all(dir);
 }

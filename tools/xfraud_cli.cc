@@ -175,7 +175,9 @@ int Usage() {
       "rendezvous. In socket mode kill_worker=<r>@<e>:<s> in --fault-plan\n"
       "is a real SIGKILL; the launcher re-forks the rank, which resumes\n"
       "from its CRC checkpoint under --checkpoint-dir and rejoins the\n"
-      "ring. The epoch table reports the sync cost split by provenance:\n"
+      "ring. Either transport refuses a kill_worker rank outside\n"
+      "--workers, or any kill with --workers 1 (no survivor to recover).\n"
+      "The epoch table reports the sync cost split by provenance:\n"
       "'modeled sync' (inproc: sync_overhead x steps) and 'measured comm'\n"
       "(socket: slowest rank's time inside collectives) — exactly one is\n"
       "set, never both summed. See DESIGN.md §12.\n";
@@ -1023,6 +1025,12 @@ int CmdDistBench(const Flags& flags) {
     std::cerr << "dist-bench: " << plan.status().ToString() << "\n";
     return 1;
   }
+  const int workers = std::max(1, flags.GetInt("workers", 4));
+  if (Status valid = dist::ValidateKillPlan(plan.value(), workers);
+      !valid.ok()) {
+    std::cerr << "dist-bench: " << valid.ToString() << "\n";
+    return 1;
+  }
   if (plan.value().any()) {
     std::cout << "fault plan: " << plan.value().ToString() << "\n";
   }
@@ -1055,10 +1063,9 @@ int CmdDistBench(const Flags& flags) {
   // In-process: kappa identically-seeded replicas over the shared-memory
   // Communicator (the historical simulation, bit-identical).
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  const int kappa = std::max(1, flags.GetInt("workers", 4));
   std::vector<std::unique_ptr<core::XFraudDetector>> replicas;
   std::vector<core::GnnModel*> ptrs;
-  for (int w = 0; w < kappa; ++w) {
+  for (int w = 0; w < workers; ++w) {
     Rng rng(seed);
     replicas.push_back(std::make_unique<core::XFraudDetector>(
         ConfigFor(ds.value().graph, flags), &rng));
