@@ -5,7 +5,9 @@
 // tracking regressions in the engine that every experiment sits on.
 //
 // XFRAUD_KERNEL_THREADS sets the kernel worker count (default 1; results
-// are bit-identical at any value, only the timings move).
+// are bit-identical at any value, only the timings move). The GEMM benches
+// report wall-clock rates (UseRealTime): with worker threads the main
+// thread's CPU time would leave out the workers' share.
 
 #include <cstdlib>
 
@@ -29,7 +31,7 @@ void BM_MatMulForward(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n * 64 * 64);
 }
-BENCHMARK(BM_MatMulForward)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_MatMulForward)->Arg(256)->Arg(1024)->Arg(4096)->UseRealTime();
 
 void BM_GemmReference(benchmark::State& state) {
   // The naive ikj GEMM the blocked kernel replaced — the "before" side of
@@ -45,7 +47,72 @@ void BM_GemmReference(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n * 64 * 64);
 }
-BENCHMARK(BM_GemmReference)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_GemmReference)->Arg(256)->Arg(1024)->Arg(4096)->UseRealTime();
+
+// The backward products at the detector's shapes: {rows n, width d}, with
+// the weight d x d. Each packed kernel is paired with its naive reference
+// loop (the "before" side), and the accumulators are never reset, exactly
+// like a gradient accumulating over steps.
+void GemmBackwardArgs(benchmark::internal::Benchmark* b) {
+  for (int64_t n : {1024, 4096}) {
+    for (int64_t d : {32, 64}) b->Args({n, d});
+  }
+  b->UseRealTime();
+}
+
+using GemmKernel = void (*)(const Tensor&, const Tensor&, Tensor*);
+
+void RunGemmTransAAdd(benchmark::State& state, GemmKernel kernel) {
+  // dB += Aᵀ·G: A [n,d], G [n,d], dB [d,d].
+  int64_t n = state.range(0);
+  int64_t d = state.range(1);
+  Rng rng(9);
+  Tensor a = Tensor::Uniform(n, d, 1.0f, &rng);
+  Tensor g = Tensor::Uniform(n, d, 1.0f, &rng);
+  Tensor db(d, d);
+  for (auto _ : state) {
+    kernel(a, g, &db);
+    benchmark::DoNotOptimize(db.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n * d * d);
+}
+
+void RunGemmTransBAdd(benchmark::State& state, GemmKernel kernel) {
+  // dA += G·Bᵀ: G [n,d], B [d,d], dA [n,d].
+  int64_t n = state.range(0);
+  int64_t d = state.range(1);
+  Rng rng(10);
+  Tensor g = Tensor::Uniform(n, d, 1.0f, &rng);
+  Tensor b = Tensor::Uniform(d, d, 1.0f, &rng);
+  Tensor da(n, d);
+  for (auto _ : state) {
+    kernel(g, b, &da);
+    benchmark::DoNotOptimize(da.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n * d * d);
+}
+
+void BM_GemmTransAAdd(benchmark::State& state) {
+  RunGemmTransAAdd(state, kernels::GemmTransAAdd);
+}
+BENCHMARK(BM_GemmTransAAdd)->Apply(GemmBackwardArgs);
+
+void BM_GemmTransAAddReference(benchmark::State& state) {
+  RunGemmTransAAdd(state, kernels::reference::GemmTransAAdd);
+}
+BENCHMARK(BM_GemmTransAAddReference)->Apply(GemmBackwardArgs);
+
+void BM_GemmTransBAdd(benchmark::State& state) {
+  RunGemmTransBAdd(state, kernels::GemmTransBAdd);
+}
+BENCHMARK(BM_GemmTransBAdd)->Apply(GemmBackwardArgs);
+
+void BM_GemmTransBAddReference(benchmark::State& state) {
+  RunGemmTransBAdd(state, kernels::reference::GemmTransBAdd);
+}
+BENCHMARK(BM_GemmTransBAddReference)->Apply(GemmBackwardArgs);
 
 void BM_MatMulTrain(benchmark::State& state) {
   int64_t n = state.range(0);
@@ -62,7 +129,7 @@ void BM_MatMulTrain(benchmark::State& state) {
   // Forward GEMM plus the two backward products, all n x 64 x 64 shaped.
   state.SetItemsProcessed(state.iterations() * 3 * n * 64 * 64);
 }
-BENCHMARK(BM_MatMulTrain)->Arg(256)->Arg(1024);
+BENCHMARK(BM_MatMulTrain)->Arg(256)->Arg(1024)->UseRealTime();
 
 void BM_LinearFused(benchmark::State& state) {
   // Fused x·W + b + ReLU forward/backward...
@@ -79,7 +146,7 @@ void BM_LinearFused(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n * 64 * 64);
 }
-BENCHMARK(BM_LinearFused)->Arg(256)->Arg(1024);
+BENCHMARK(BM_LinearFused)->Arg(256)->Arg(1024)->UseRealTime();
 
 void BM_LinearComposed(benchmark::State& state) {
   // ...vs the composed MatMul + AddRowBroadcast + Relu chain it replaced.
@@ -99,7 +166,7 @@ void BM_LinearComposed(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n * 64 * 64);
 }
-BENCHMARK(BM_LinearComposed)->Arg(256)->Arg(1024);
+BENCHMARK(BM_LinearComposed)->Arg(256)->Arg(1024)->UseRealTime();
 
 void BM_AttentionAggregateFused(benchmark::State& state) {
   // Fused segment-softmax -> per-head weighting -> scatter-add...

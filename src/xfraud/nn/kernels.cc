@@ -80,81 +80,176 @@ void ParallelBlocks(int64_t total, int64_t grain,
 }
 
 // ---------------------------------------------------------------------------
-// GEMM micro-kernel geometry. B is packed into column panels of kJTile
-// columns (zero-padded at the right edge); the micro-kernel holds a
-// kITile x kJTile accumulator block in registers and reduces over k in
-// ascending order — the same per-element order as the naive reference, so
-// blocking never changes a single bit of the result.
+// GEMM family: one register-tiled micro-kernel, three operand layouts.
+//
+// Every product computes output rows × output columns by reducing over
+// "steps" (k for GemmBiasAct, j for GemmTransBAdd, i for GemmTransAAdd).
+// The right-hand operand is read as panels of kJTile output columns, one
+// row per step (zero-padded past the right edge). The micro-kernel holds a
+// kITile x kJTile accumulator block in registers and reduces over the steps
+// in ascending order; the epilogue decides where the accumulator starts and
+// how it lands in C, which is what makes each product's per-element order
+// match its naive reference exactly (DESIGN.md §13.1).
 
 constexpr int64_t kITile = 4;
 constexpr int64_t kJTile = 16;
-
-/// Packs B's columns [j0, j0+kJTile) into `panel` (K x kJTile, row-major),
-/// zero-filling columns past B's edge.
-void PackBPanel(const Tensor& b, int64_t j0, float* panel) {
-  int64_t k_dim = b.rows();
-  int64_t m = b.cols();
-  int64_t jw = std::min<int64_t>(kJTile, m - j0);
-  for (int64_t k = 0; k < k_dim; ++k) {
-    const float* brow = b.Row(k) + j0;
-    float* prow = panel + k * kJTile;
-    int64_t j = 0;
-    for (; j < jw; ++j) prow[j] = brow[j];
-    for (; j < kJTile; ++j) prow[j] = 0.0f;
-  }
-}
 
 inline float ApplyAct(float x, Activation act) {
   return act == Activation::kRelu ? (x > 0.0f ? x : 0.0f) : x;
 }
 
-/// C rows [i0, i0+ih) for panel columns [j0, j0+jw): register-tiled over
-/// kITile rows, k ascending in the single inner reduction.
-void GemmPanelRows(const Tensor& a, const float* panel, int64_t j0, int64_t jw,
-                   int64_t i0, int64_t ih, const float* bias, Activation act,
-                   Tensor* c) {
-  int64_t k_dim = a.cols();
-  int64_t i = i0;
-  for (; i + kITile <= i0 + ih; i += kITile) {
-    float acc[kITile][kJTile] = {};
-    const float* a0 = a.Row(i);
-    const float* a1 = a.Row(i + 1);
-    const float* a2 = a.Row(i + 2);
-    const float* a3 = a.Row(i + 3);
-    for (int64_t k = 0; k < k_dim; ++k) {
-      const float* p = panel + k * kJTile;
-      float v0 = a0[k], v1 = a1[k], v2 = a2[k], v3 = a3[k];
-      for (int64_t j = 0; j < kJTile; ++j) {
-        float bj = p[j];
-        acc[0][j] += v0 * bj;
-        acc[1][j] += v1 * bj;
-        acc[2][j] += v2 * bj;
-        acc[3][j] += v3 * bj;
-      }
+/// The three products of the family. Each fixes, at compile time, an
+/// operand layout and an epilogue (where the accumulator starts and how it
+/// lands in C):
+///   kBiasAct  C = act(A·B + bias)  lhs A row-major, B packed; acc from 0,
+///                                  C = act(acc + bias)
+///   kTransB   dA += G·Bᵀ           lhs G row-major, Bᵀ packed; acc from 0,
+///                                  C += acc
+///   kTransA   dB += Aᵀ·G           lhs A read transposed, G's rows in
+///                                  place; acc from C, C = acc
+/// Compile-time strides keep the packed products' inner loop as tight as a
+/// hand-written one.
+enum class Product { kBiasAct, kTransB, kTransA };
+
+/// One product in micro-kernel terms. Output row r's left-hand value at
+/// step s is lhs[r·ld + s], or lhs[s·ld + r] for kTransA. Panel p (output
+/// columns [p·kJTile, p·kJTile + kJTile)) starts at panels + p·panel_step
+/// and its step rows are kJTile floats apart, or `panel_stride` for
+/// kTransA, whose non-null `edge` replaces the ragged last panel with a
+/// packed steps x kJTile block.
+struct PanelGemm {
+  const float* lhs = nullptr;
+  int64_t ld = 0;
+  int64_t steps = 0;
+  const float* panels = nullptr;
+  int64_t panel_step = 0;
+  int64_t panel_stride = kJTile;
+  const float* edge = nullptr;
+  float* c = nullptr;
+  int64_t ldc = 0;
+  int64_t cols = 0;
+  const float* bias = nullptr;
+  Activation act = Activation::kNone;
+};
+
+/// acc[r][:] += lhs(r, s) · panel[s][:] for s ascending — the single inner
+/// loop of every GEMM here. No term is skipped, so 0·NaN propagates.
+template <int64_t R, Product P>
+inline void MicroKernel(const float* lhs, int64_t ld, const float* panel,
+                        int64_t panel_stride, int64_t steps,
+                        float (&acc)[R][kJTile]) {
+  constexpr bool kTransposed = P == Product::kTransA;
+  const int64_t lhs_step = kTransposed ? ld : 1;
+  const int64_t stride = kTransposed ? panel_stride : kJTile;
+  const float* rows[R];
+  for (int64_t r = 0; r < R; ++r) rows[r] = lhs + r * (kTransposed ? 1 : ld);
+  for (int64_t s = 0; s < steps; ++s) {
+    const float* p = panel + s * stride;
+    float v[R];
+    for (int64_t r = 0; r < R; ++r) v[r] = rows[r][s * lhs_step];
+    for (int64_t j = 0; j < kJTile; ++j) {
+      float bj = p[j];
+      for (int64_t r = 0; r < R; ++r) acc[r][j] += v[r] * bj;
     }
-    for (int64_t r = 0; r < kITile; ++r) {
-      float* crow = c->Row(i + r) + j0;
-      for (int64_t j = 0; j < jw; ++j) {
+  }
+}
+
+/// C rows [i, i+R) x panel columns [j0, j0+jw). Lanes past jw are computed
+/// and discarded.
+template <int64_t R, Product P>
+void GemmTile(const PanelGemm& gm, int64_t i, const float* panel,
+              int64_t panel_stride, int64_t j0, int64_t jw) {
+  float acc[R][kJTile] = {};
+  if constexpr (P == Product::kTransA) {
+    for (int64_t r = 0; r < R; ++r) {
+      const float* crow = gm.c + (i + r) * gm.ldc + j0;
+      for (int64_t j = 0; j < jw; ++j) acc[r][j] = crow[j];
+    }
+  }
+  const float* lhs = P == Product::kTransA ? gm.lhs + i : gm.lhs + i * gm.ld;
+  MicroKernel<R, P>(lhs, gm.ld, panel, panel_stride, gm.steps, acc);
+  for (int64_t r = 0; r < R; ++r) {
+    float* crow = gm.c + (i + r) * gm.ldc + j0;
+    for (int64_t j = 0; j < jw; ++j) {
+      if constexpr (P == Product::kBiasAct) {
         float v = acc[r][j];
-        if (bias != nullptr) v += bias[j0 + j];
-        crow[j] = ApplyAct(v, act);
+        if (gm.bias != nullptr) v += gm.bias[j0 + j];
+        crow[j] = ApplyAct(v, gm.act);
+      } else if constexpr (P == Product::kTransB) {
+        crow[j] += acc[r][j];
+      } else {
+        crow[j] = acc[r][j];
       }
     }
   }
-  for (; i < i0 + ih; ++i) {  // remainder rows, one at a time
-    float acc[kJTile] = {};
-    const float* arow = a.Row(i);
-    for (int64_t k = 0; k < k_dim; ++k) {
-      const float* p = panel + k * kJTile;
-      float v = arow[k];
-      for (int64_t j = 0; j < kJTile; ++j) acc[j] += v * p[j];
+}
+
+/// Output rows [i0, i_end), every panel. Rows go in chunks so a chunk of the
+/// left-hand operand stays L1-resident while every panel sweeps over it
+/// (panel inner, chunk outer); within a chunk, kITile-row tiles then single
+/// remainder rows. Any i0 works — tiles need no alignment.
+template <Product P>
+void GemmRows(const PanelGemm& gm, int64_t i0, int64_t i_end) {
+  constexpr int64_t kRowChunk = 128;
+  int64_t num_panels = (gm.cols + kJTile - 1) / kJTile;
+  for (int64_t ic = i0; ic < i_end; ic += kRowChunk) {
+    int64_t ic_end = std::min<int64_t>(ic + kRowChunk, i_end);
+    for (int64_t p = 0; p < num_panels; ++p) {
+      int64_t j0 = p * kJTile;
+      int64_t jw = std::min<int64_t>(kJTile, gm.cols - j0);
+      const float* panel = gm.panels + p * gm.panel_step;
+      int64_t stride = gm.panel_stride;
+      if (jw < kJTile && gm.edge != nullptr) {
+        panel = gm.edge;
+        stride = kJTile;
+      }
+      int64_t i = ic;
+      for (; i + kITile <= ic_end; i += kITile) {
+        GemmTile<kITile, P>(gm, i, panel, stride, j0, jw);
+      }
+      for (; i < ic_end; ++i) GemmTile<1, P>(gm, i, panel, stride, j0, jw);
     }
-    float* crow = c->Row(i) + j0;
-    for (int64_t j = 0; j < jw; ++j) {
-      float v = acc[j];
-      if (bias != nullptr) v += bias[j0 + j];
-      crow[j] = ApplyAct(v, act);
-    }
+  }
+}
+
+/// Grow-only packing buffer of the calling thread; each GEMM call takes it
+/// once. Packed panels are written before the parallel section and only
+/// read inside it, and the caller blocks on the latch until every worker is
+/// done, so one buffer per calling thread is never shared between two live
+/// calls. Never returns null (even for a zero-size request).
+float* PackScratch(int64_t floats) {
+  thread_local std::vector<float> buf;
+  size_t want = static_cast<size_t>(std::max<int64_t>(floats, 1));
+  if (buf.size() < want) buf.resize(want);
+  return buf.data();
+}
+
+/// Packs src's columns [j0, j0 + kJTile) into a src.rows() x kJTile block,
+/// zero-filling columns past src's edge.
+void PackColumns(const Tensor& src, int64_t j0, float* out) {
+  int64_t jw = std::min<int64_t>(kJTile, src.cols() - j0);
+  for (int64_t s = 0; s < src.rows(); ++s) {
+    const float* srow = src.Row(s) + j0;
+    float* orow = out + s * kJTile;
+    int64_t j = 0;
+    for (; j < jw; ++j) orow[j] = srow[j];
+    for (; j < kJTile; ++j) orow[j] = 0.0f;
+  }
+}
+
+/// Packs src's rows [r0, r0 + kJTile) transposed: a src.cols() x kJTile
+/// block whose step-s row holds src[r0 .. r0+kJTile)[s], zero-filling rows
+/// past src's edge.
+void PackRowsTransposed(const Tensor& src, int64_t r0, float* out) {
+  int64_t rw = std::min<int64_t>(kJTile, src.rows() - r0);
+  int64_t steps = src.cols();
+  for (int64_t s = 0; s < steps; ++s) {
+    float* orow = out + s * kJTile;
+    for (int64_t r = rw; r < kJTile; ++r) orow[r] = 0.0f;
+  }
+  for (int64_t r = 0; r < rw; ++r) {
+    const float* srow = src.Row(r0 + r);
+    for (int64_t s = 0; s < steps; ++s) out[s * kJTile + r] = srow[s];
   }
 }
 
@@ -192,26 +287,26 @@ void GemmBiasAct(const Tensor& a, const Tensor& b, const float* bias,
     }
     return;
   }
-  // Pack all of B once (shared read-only by every row block), then sweep
-  // panels per row block so a panel stays L1-hot across its kITile rows.
+  // C[i][j] = act(Σ_k A[i][k]·B[k][j] + bias[j]): rows i, columns j, steps
+  // k. B's column panels are packed once, then shared read-only by every
+  // row block.
   int64_t num_panels = (m + kJTile - 1) / kJTile;
-  std::vector<float> packed(static_cast<size_t>(num_panels * k_dim * kJTile));
+  float* packed = PackScratch(num_panels * k_dim * kJTile);
   for (int64_t p = 0; p < num_panels; ++p) {
-    PackBPanel(b, p * kJTile, packed.data() + p * k_dim * kJTile);
+    PackColumns(b, p * kJTile, packed + p * k_dim * kJTile);
   }
-  // Row chunks sized so a chunk of A stays L1-resident while every panel
-  // sweeps over it (panel inner, chunk outer).
-  constexpr int64_t kRowChunk = 128;
+  const PanelGemm gm{.lhs = a.data(),
+                     .ld = k_dim,
+                     .steps = k_dim,
+                     .panels = packed,
+                     .panel_step = k_dim * kJTile,
+                     .c = c->data(),
+                     .ldc = m,
+                     .cols = m,
+                     .bias = bias,
+                     .act = act};
   ParallelBlocks(n, /*grain=*/kITile * 8, [&](int64_t i0, int64_t i_end) {
-    for (int64_t ic = i0; ic < i_end; ic += kRowChunk) {
-      int64_t ih = std::min<int64_t>(kRowChunk, i_end - ic);
-      for (int64_t p = 0; p < num_panels; ++p) {
-        int64_t j0 = p * kJTile;
-        int64_t jw = std::min<int64_t>(kJTile, m - j0);
-        GemmPanelRows(a, packed.data() + p * k_dim * kJTile, j0, jw, ic, ih,
-                      bias, act, c);
-      }
-    }
+    GemmRows<Product::kBiasAct>(gm, i0, i_end);
   });
 }
 
@@ -223,19 +318,29 @@ void GemmTransBAdd(const Tensor& g, const Tensor& b, Tensor* da) {
   XF_CHECK_EQ(g.cols(), b.cols());
   XF_CHECK_EQ(da->rows(), g.rows());
   XF_CHECK_EQ(da->cols(), b.rows());
+  int64_t n = g.rows();
   int64_t m = g.cols();
   int64_t k_dim = b.rows();
-  ParallelBlocks(g.rows(), /*grain=*/32, [&](int64_t i0, int64_t i_end) {
-    for (int64_t i = i0; i < i_end; ++i) {
-      const float* grow = g.Row(i);
-      float* darow = da->Row(i);
-      for (int64_t k = 0; k < k_dim; ++k) {
-        const float* brow = b.Row(k);
-        float acc = 0.0f;
-        for (int64_t j = 0; j < m; ++j) acc += grow[j] * brow[j];
-        darow[k] += acc;
-      }
-    }
+  if (n == 0 || k_dim == 0) return;
+  // dA[i][k] += Σ_j G[i][j]·B[k][j]: rows i, columns k, steps j. Panel p is
+  // Bᵀ's columns [16p, 16p+16), i.e. B's rows, packed [m][16]. The
+  // accumulator starts at 0 and is added once — the reference's
+  // `acc = 0; acc += g·b; da += acc` (also for m = 0: da += 0).
+  int64_t num_panels = (k_dim + kJTile - 1) / kJTile;
+  float* packed = PackScratch(num_panels * m * kJTile);
+  for (int64_t p = 0; p < num_panels; ++p) {
+    PackRowsTransposed(b, p * kJTile, packed + p * m * kJTile);
+  }
+  const PanelGemm gm{.lhs = g.data(),
+                     .ld = m,
+                     .steps = m,
+                     .panels = packed,
+                     .panel_step = m * kJTile,
+                     .c = da->data(),
+                     .ldc = k_dim,
+                     .cols = k_dim};
+  ParallelBlocks(n, /*grain=*/kITile * 8, [&](int64_t i0, int64_t i_end) {
+    GemmRows<Product::kTransB>(gm, i0, i_end);
   });
 }
 
@@ -244,20 +349,33 @@ void GemmTransAAdd(const Tensor& a, const Tensor& g, Tensor* db) {
   XF_CHECK_EQ(db->rows(), a.cols());
   XF_CHECK_EQ(db->cols(), g.cols());
   int64_t n = a.rows();
+  int64_t k_dim = a.cols();
   int64_t m = g.cols();
-  // Parallel over disjoint k blocks (rows of dB); within a block the i loop
-  // stays outermost and ascending, so each dB element's reduction order is
-  // fixed no matter how the k space is split.
-  ParallelBlocks(a.cols(), /*grain=*/8, [&](int64_t k0, int64_t k_end) {
-    for (int64_t i = 0; i < n; ++i) {
-      const float* arow = a.Row(i);
-      const float* grow = g.Row(i);
-      for (int64_t k = k0; k < k_end; ++k) {
-        float aik = arow[k];
-        float* dbrow = db->Row(k);
-        for (int64_t j = 0; j < m; ++j) dbrow[j] += aik * grow[j];
-      }
-    }
+  if (n == 0 || k_dim == 0 || m == 0) return;
+  // dB[k][j] += Σ_i A[i][k]·G[i][j]: rows k, columns j, steps i. Each step
+  // reads A[i][k..k+4) and G's row i, which already is a full panel's step
+  // row; only the ragged right edge is packed. The accumulator starts from
+  // dB and is stored back — the reference's in-place `db += a·g`, i
+  // ascending.
+  float* edge = nullptr;
+  if (m % kJTile != 0) {
+    edge = PackScratch(n * kJTile);
+    PackColumns(g, m - m % kJTile, edge);
+  }
+  const PanelGemm gm{.lhs = a.data(),
+                     .ld = k_dim,
+                     .steps = n,
+                     .panels = g.data(),
+                     .panel_step = kJTile,
+                     .panel_stride = m,
+                     .edge = edge,
+                     .c = db->data(),
+                     .ldc = m,
+                     .cols = m};
+  // Parallel over disjoint k blocks (rows of dB), at least one tile each; a
+  // block may start off a kITile boundary.
+  ParallelBlocks(k_dim, /*grain=*/kITile, [&](int64_t k0, int64_t k_end) {
+    GemmRows<Product::kTransA>(gm, k0, k_end);
   });
 }
 

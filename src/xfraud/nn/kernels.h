@@ -39,21 +39,27 @@ int NumThreads();
 /// C = act(A·B + bias). A [n,k], B [k,m], C preallocated [n,m] (overwritten).
 /// `bias` is nullptr (no bias) or a length-m row added before `act`.
 /// Cache-blocked over B panels (a packed column-tile layout) with a
-/// register-tiled micro-kernel; parallel over row blocks of C.
+/// register-tiled micro-kernel; parallel over row blocks of C. The two
+/// backward products below run on the same micro-kernel with their own
+/// packing and epilogue (DESIGN.md §13.1).
 void GemmBiasAct(const Tensor& a, const Tensor& b, const float* bias,
                  Activation act, Tensor* c);
 
 /// C = A·B (no bias, no activation).
 void Gemm(const Tensor& a, const Tensor& b, Tensor* c);
 
-/// dA += G·Bᵀ. G [n,m], B [k,m], dA [n,k]. Row-dot form: B's row-major
-/// storage is already the transposed-operand layout, so every dot product
-/// streams two contiguous rows. Parallel over rows of dA.
+/// dA += G·Bᵀ. G [n,m], B [k,m], dA [n,k]. Bᵀ is packed into 16-wide
+/// panels (panel p = B's rows [16p, 16p+16), laid out [m][16]); each
+/// element's accumulator starts at 0, reduces over j ascending and is added
+/// into dA once — the reference's `acc = 0; acc += g·b; da += acc`.
+/// Parallel over rows of dA.
 void GemmTransBAdd(const Tensor& g, const Tensor& b, Tensor* da);
 
-/// dB += Aᵀ·G. A [n,k], G [n,m], dB [k,m]. i-outer loops keep G's row hot
-/// across a k-block; the reduction over i stays ascending for every output
-/// element. Parallel over k blocks (disjoint dB rows).
+/// dB += Aᵀ·G. A [n,k], G [n,m], dB [k,m]. Each step reads A[i][k..k+4)
+/// and G's row i, which already is a full panel's step row, so only the
+/// ragged right edge of G is packed. Accumulators start from dB, reduce over
+/// i ascending and are stored back — the reference's in-place `db += a·g`.
+/// Parallel over k blocks (disjoint dB rows, any block start).
 void GemmTransAAdd(const Tensor& a, const Tensor& g, Tensor* db);
 
 /// gb[0,:] += column sums of G, reduced over rows in ascending order.

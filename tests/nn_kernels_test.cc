@@ -120,6 +120,70 @@ TEST(KernelConformance, GemmTransAAddMatchesReferenceBitwise) {
   }
 }
 
+// Ragged shapes for the packed backward products, whose tiles run over k
+// (TransA's dB rows, TransB's dA columns): k % 4 != 0 and k % 16 != 0 on
+// both sides of 16, plus the detector's hidden-layer shape.
+const GemmShape kRaggedGemmShapes[] = {
+    {6, 21, 35}, {9, 4, 17}, {5, 15, 9}, {7, 18, 16}, {1106, 32, 32}};
+
+TEST(KernelConformance, GemmFamilyMatchesReferenceOnRaggedShapes) {
+  Rng rng(104);
+  for (const GemmShape& s : kRaggedGemmShapes) {
+    Tensor a = RandomTensor(s.n, s.k, &rng);
+    Tensor b = RandomTensor(s.k, s.m, &rng);
+    Tensor g = RandomTensor(s.n, s.m, &rng);
+    Tensor c_fast(s.n, s.m);
+    Tensor c_ref(s.n, s.m);
+    kernels::Gemm(a, b, &c_fast);
+    kernels::reference::Gemm(a, b, &c_ref);
+    EXPECT_TRUE(c_fast.BitwiseEqual(c_ref))
+        << "Gemm " << s.n << "x" << s.k << "x" << s.m;
+
+    Tensor da_fast = RandomTensor(s.n, s.k, &rng);
+    Tensor da_ref = da_fast;
+    kernels::GemmTransBAdd(g, b, &da_fast);
+    kernels::reference::GemmTransBAdd(g, b, &da_ref);
+    EXPECT_TRUE(da_fast.BitwiseEqual(da_ref))
+        << "TransB " << s.n << "x" << s.k << "x" << s.m;
+
+    Tensor db_fast = RandomTensor(s.k, s.m, &rng);
+    Tensor db_ref = db_fast;
+    kernels::GemmTransAAdd(a, g, &db_fast);
+    kernels::reference::GemmTransAAdd(a, g, &db_ref);
+    EXPECT_TRUE(db_fast.BitwiseEqual(db_ref))
+        << "TransA " << s.n << "x" << s.k << "x" << s.m;
+  }
+}
+
+TEST(KernelConformance, BackwardProductsZeroSizeMatchReference) {
+  // n = 0, k = 0 and m = 0 each. The accumulators start non-zero with a
+  // -0.0 in the first slot: at m = 0 the reference still adds an empty
+  // sum (dA += +0.0, which turns -0.0 into +0.0), and the kernel must too.
+  const GemmShape kZeroShapes[] = {{0, 3, 5}, {4, 0, 5}, {4, 3, 0}};
+  Rng rng(105);
+  for (const GemmShape& s : kZeroShapes) {
+    Tensor a = RandomTensor(s.n, s.k, &rng);
+    Tensor b = RandomTensor(s.k, s.m, &rng);
+    Tensor g = RandomTensor(s.n, s.m, &rng);
+
+    Tensor da_fast = RandomTensor(s.n, s.k, &rng);
+    if (da_fast.size() > 0) da_fast.At(0, 0) = -0.0f;
+    Tensor da_ref = da_fast;
+    kernels::GemmTransBAdd(g, b, &da_fast);
+    kernels::reference::GemmTransBAdd(g, b, &da_ref);
+    EXPECT_TRUE(da_fast.BitwiseEqual(da_ref))
+        << "TransB " << s.n << "x" << s.k << "x" << s.m;
+
+    Tensor db_fast = RandomTensor(s.k, s.m, &rng);
+    if (db_fast.size() > 0) db_fast.At(0, 0) = -0.0f;
+    Tensor db_ref = db_fast;
+    kernels::GemmTransAAdd(a, g, &db_fast);
+    kernels::reference::GemmTransAAdd(a, g, &db_ref);
+    EXPECT_TRUE(db_fast.BitwiseEqual(db_ref))
+        << "TransA " << s.n << "x" << s.k << "x" << s.m;
+  }
+}
+
 TEST(KernelConformance, GemmBiasActZeroInnerDimIsBiasPlusAct) {
   Tensor a(2, 0);
   Tensor b(0, 3);
@@ -173,6 +237,37 @@ TEST(KernelDeterminism, BackwardProductsBitIdenticalAcrossThreadCounts) {
     kernels::GemmTransAAdd(a, g, &db);
     EXPECT_TRUE(da.BitwiseEqual(da1)) << "threads=" << threads;
     EXPECT_TRUE(db.BitwiseEqual(db1)) << "threads=" << threads;
+  }
+}
+
+TEST(KernelDeterminism, BackwardProductsBitIdenticalOffTileBoundaries) {
+  // TransA splits dB's k rows across workers, and a block need not start on
+  // a kITile (4-row) boundary: k = 19 at 3 threads gives blocks starting at
+  // rows 0, 7 and 13; k = 7 at 2 threads leaves a block shorter than a tile.
+  ThreadRestore restore;
+  struct Case {
+    int64_t k;
+    int threads;
+  };
+  Rng rng(204);
+  for (Case c : {Case{19, 3}, Case{7, 2}}) {
+    Tensor a = RandomTensor(45, c.k, &rng);
+    Tensor g = RandomTensor(45, 21, &rng);
+    Tensor b = RandomTensor(c.k, 21, &rng);
+    Tensor db0 = RandomTensor(c.k, 21, &rng);
+    Tensor da0 = RandomTensor(45, c.k, &rng);
+    kernels::SetNumThreads(1);
+    Tensor db1 = db0;
+    Tensor da1 = da0;
+    kernels::GemmTransAAdd(a, g, &db1);
+    kernels::GemmTransBAdd(g, b, &da1);
+    kernels::SetNumThreads(c.threads);
+    Tensor db = db0;
+    Tensor da = da0;
+    kernels::GemmTransAAdd(a, g, &db);
+    kernels::GemmTransBAdd(g, b, &da);
+    EXPECT_TRUE(db.BitwiseEqual(db1)) << "k=" << c.k << " threads=" << c.threads;
+    EXPECT_TRUE(da.BitwiseEqual(da1)) << "k=" << c.k << " threads=" << c.threads;
   }
 }
 
@@ -356,6 +451,17 @@ TEST(NanPropagation, MatMulBackwardPropagatesThroughZeroActivation) {
   Var k = Constant(Tensor(2, 1, {inf, 1.0f}));
   Sum(Mul(c, k)).Backward();
   EXPECT_TRUE(std::isnan(b.grad().At(0, 0)));
+}
+
+TEST(NanPropagation, GemmTransBAddPropagatesZeroTimesInf) {
+  // dA[0,0] += G[0,0]·B[0,0] + G[0,1]·B[0,1] = 0·inf + 1·2 = NaN, through the
+  // packed kernel directly (dA = G·Bᵀ is the input-side MatMul backward).
+  float inf = std::numeric_limits<float>::infinity();
+  Tensor g(1, 2, {0.0f, 1.0f});
+  Tensor b(1, 2, {inf, 2.0f});
+  Tensor da(1, 1, 0.5f);
+  kernels::GemmTransBAdd(g, b, &da);
+  EXPECT_TRUE(std::isnan(da.At(0, 0)));
 }
 
 // ---------------------------------------------------------------------------

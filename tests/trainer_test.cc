@@ -2,6 +2,7 @@
 
 #include "xfraud/core/detector.h"
 #include "xfraud/data/generator.h"
+#include "xfraud/nn/kernels.h"
 #include "xfraud/train/trainer.h"
 
 namespace xfraud::train {
@@ -117,6 +118,37 @@ TEST_F(TrainerTest, TrainStepReducesLossOnFixedBatch) {
   double last = first;
   for (int i = 0; i < 30; ++i) last = trainer.TrainStep(batch);
   EXPECT_LT(last, first * 0.8) << "overfitting a fixed batch must work";
+}
+
+TEST_F(TrainerTest, TrainingBitIdenticalAcrossKernelThreadCounts) {
+  // The kernel layer's determinism contract end to end: the GEMMs, scatters
+  // and softmaxes split their work across kernel threads, yet every trained
+  // parameter must match the serial run bit for bit.
+  struct ThreadCountRestore {
+    int saved = nn::kernels::NumThreads();
+    ~ThreadCountRestore() { nn::kernels::SetNumThreads(saved); }
+  } restore;
+  sample::SageSampler sampler(2, 8);
+  auto train = [&](int threads) {
+    nn::kernels::SetNumThreads(threads);
+    auto model = MakeModel(6);
+    Trainer trainer(&model, &sampler, TrainOptions{});
+    Rng rng(7);
+    for (size_t step = 0; step < 4; ++step) {
+      auto first = ds_->train_nodes.begin() + static_cast<int64_t>(step * 64);
+      std::vector<int32_t> seeds(first, first + 64);
+      trainer.TrainStep(sampler.SampleBatch(ds_->graph, seeds, &rng));
+    }
+    std::vector<nn::Tensor> params;
+    for (const auto& p : model.Parameters()) params.push_back(p.var.value());
+    return params;
+  };
+  std::vector<nn::Tensor> serial = train(1);
+  std::vector<nn::Tensor> parallel = train(3);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_TRUE(parallel[i].BitwiseEqual(serial[i])) << "parameter " << i;
+  }
 }
 
 }  // namespace
