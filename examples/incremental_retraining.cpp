@@ -45,7 +45,8 @@ int main() {
   TablePrinter table({"score period", "stale model", "fine-tuned model",
                       "full retrain"});
   for (const auto& r : reports) {
-    table.AddRow({"P" + std::to_string(r.period),
+    const std::string period = std::to_string(r.period);
+    table.AddRow({"P" + period,
                   TablePrinter::Num(r.stale_auc, 4),
                   TablePrinter::Num(r.incremental_auc, 4),
                   TablePrinter::Num(r.cumulative_auc, 4)});

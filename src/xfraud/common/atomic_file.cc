@@ -8,13 +8,14 @@
 
 #include <cstring>
 
+#include "xfraud/common/bytes.h"
 #include "xfraud/common/crc32.h"
 
 namespace xfraud {
 
 namespace {
 
-constexpr char kCrcMagic[4] = {'X', 'F', 'C', 'R'};
+constexpr std::string_view kCrcMagic = "XFCR";
 constexpr size_t kFooterSize = 8;  // u32 crc + 4-byte magic
 
 Status WriteAll(int fd, const char* data, size_t size,
@@ -62,12 +63,12 @@ Status AtomicWriteFile(const std::string& path, std::string_view contents) {
 
 Status AtomicWriteFileWithCrc(const std::string& path,
                               std::string_view contents) {
-  uint32_t crc = Crc32(contents.data(), contents.size());
   std::string framed;
   framed.reserve(contents.size() + kFooterSize);
   framed.append(contents);
-  framed.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  framed.append(kCrcMagic, sizeof(kCrcMagic));
+  ByteWriter footer(&framed);
+  footer.Put(Crc32(contents.data(), contents.size()));
+  footer.PutBytes(kCrcMagic);
   return AtomicWriteFile(path, framed);
 }
 
@@ -108,13 +109,11 @@ Result<std::string> ReadFileVerifyCrc(const std::string& path) {
   if (data.size() < kFooterSize) {
     return Status::Corruption("file too short for CRC footer: " + path);
   }
-  const char* footer = data.data() + data.size() - kFooterSize;
-  if (std::memcmp(footer + sizeof(uint32_t), kCrcMagic, sizeof(kCrcMagic)) !=
-      0) {
+  ByteReader footer(data.data() + data.size() - kFooterSize, kFooterSize);
+  const uint32_t stored = footer.Get<uint32_t>();
+  if (!footer.ExpectMagic(kCrcMagic)) {
     return Status::Corruption("missing CRC footer magic in " + path);
   }
-  uint32_t stored;
-  std::memcpy(&stored, footer, sizeof(stored));
   data.resize(data.size() - kFooterSize);
   uint32_t actual = Crc32(data.data(), data.size());
   if (actual != stored) {

@@ -17,6 +17,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "xfraud/common/bytes.h"
 #include "xfraud/common/logging.h"
 #include "xfraud/common/rng.h"
 #include "xfraud/obs/registry.h"
@@ -103,30 +104,6 @@ Result<SockAddr> ToSockAddr(const Endpoint& ep) {
   }
   out.len = static_cast<socklen_t>(sizeof(out.addr.in));
   return out;
-}
-
-void PutU32(unsigned char* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFF);
-  }
-}
-
-void PutU64(unsigned char* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFF);
-  }
-}
-
-uint32_t GetU32(const unsigned char* in) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(in[i]) << (8 * i);
-  return v;
-}
-
-uint64_t GetU64(const unsigned char* in) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(in[i]) << (8 * i);
-  return v;
 }
 
 }  // namespace
@@ -550,62 +527,47 @@ struct SocketCommunicator::Impl {
                     std::vector<std::vector<float>>* recv) {
     const Deadline deadline = Deadline::After(clock, op_timeout_s);
     const int distance = (rank - root + world) % world;
-    auto append_own = [&](std::vector<unsigned char>* buf) {
-      const size_t at = buf->size();
-      buf->resize(at + 12 + send.size() * sizeof(float));
-      PutU32(buf->data() + at, static_cast<uint32_t>(rank));
-      PutU64(buf->data() + at + 4, static_cast<uint64_t>(send.size()));
-      if (!send.empty()) {
-        std::memcpy(buf->data() + at + 12, send.data(),
-                    send.size() * sizeof(float));
-      }
-    };
     if (distance == 0) {  // root
       if (recv == nullptr) {
         return Status::InvalidArgument("gather root needs a recv buffer");
       }
       recv->assign(static_cast<size_t>(world), {});
       (*recv)[static_cast<size_t>(root)].assign(send.begin(), send.end());
-      Result<FrameHeader> header =
-          RecvFrameHeader(pred.get(), deadline, clock);
-      if (!header.ok()) return header.status();
-      XF_RETURN_IF_ERROR(ValidateHeader(header.value(), FrameType::kGather, 0,
-                                        header.value().payload_bytes));
-      XF_RETURN_IF_ERROR(RecvFramePayload(pred.get(), header.value(),
-                                          &scratch, deadline, clock));
-      size_t at = 0;
+      XF_RETURN_IF_ERROR(RecvGather(deadline, &scratch));
+      ByteReader in(scratch.data(), scratch.size());
       for (int i = 0; i < world - 1; ++i) {
-        if (at + 12 > scratch.size()) {
-          return Status::Corruption("gather payload truncated");
+        const uint32_t from = in.Get<uint32_t>();
+        const uint64_t count = in.Get<uint64_t>();
+        if (in.ok() && from >= static_cast<uint32_t>(world)) {
+          in.Fail("sender rank out of range");
         }
-        uint32_t from = GetU32(scratch.data() + at);
-        uint64_t count = GetU64(scratch.data() + at + 4);
-        at += 12;
-        if (from >= static_cast<uint32_t>(world) ||
-            at + count * sizeof(float) > scratch.size()) {
-          return Status::Corruption("gather entry malformed");
+        if (!in.ok() || !in.GetArray(count, &(*recv)[from])) {
+          return in.status("gather payload");
         }
-        (*recv)[from].assign(count, 0.0f);
-        if (count > 0) {
-          std::memcpy((*recv)[from].data(), scratch.data() + at,
-                      count * sizeof(float));
-        }
-        at += count * sizeof(float);
       }
       return Status::OK();
     }
-    std::vector<unsigned char> buf;
+    std::string buf;
     if (distance > 1) {  // splice the upstream entries in front of ours
-      Result<FrameHeader> header =
-          RecvFrameHeader(pred.get(), deadline, clock);
-      if (!header.ok()) return header.status();
-      XF_RETURN_IF_ERROR(ValidateHeader(header.value(), FrameType::kGather, 0,
-                                        header.value().payload_bytes));
-      XF_RETURN_IF_ERROR(
-          RecvFramePayload(pred.get(), header.value(), &buf, deadline, clock));
+      XF_RETURN_IF_ERROR(RecvGather(deadline, &scratch));
+      buf.assign(scratch.begin(), scratch.end());
     }
-    append_own(&buf);
+    ByteWriter out(&buf);
+    out.Put(static_cast<uint32_t>(rank));
+    out.Put(static_cast<uint64_t>(send.size()));
+    out.PutArray(send.data(), send.size());
     return Send(FrameType::kGather, 0, buf.data(), buf.size(), deadline);
+  }
+
+  /// Receives the predecessor's kGather frame payload.
+  Status RecvGather(const Deadline& deadline,
+                    std::vector<unsigned char>* payload) {
+    Result<FrameHeader> header = RecvFrameHeader(pred.get(), deadline, clock);
+    if (!header.ok()) return header.status();
+    XF_RETURN_IF_ERROR(ValidateHeader(header.value(), FrameType::kGather, 0,
+                                      header.value().payload_bytes));
+    return RecvFramePayload(pred.get(), header.value(), payload, deadline,
+                            clock);
   }
 
   template <typename Fn>

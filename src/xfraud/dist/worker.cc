@@ -1,15 +1,14 @@
 #include "xfraud/dist/worker.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "xfraud/common/atomic_file.h"
+#include "xfraud/common/bytes.h"
 #include "xfraud/common/logging.h"
 #include "xfraud/common/timer.h"
 #include "xfraud/dist/ddp_rank.h"
@@ -17,6 +16,7 @@
 #include "xfraud/fault/fault_injector.h"
 #include "xfraud/nn/optim.h"
 #include "xfraud/nn/serialize.h"
+#include "xfraud/train/checkpoint.h"
 
 namespace xfraud::dist {
 
@@ -27,56 +27,18 @@ namespace {
 // Written at every epoch boundary, so it is both the rollback image for
 // comm-failure recovery (survivors reload it in-process) and the resume
 // image for a SIGKILLed rank (the launcher's restarted process loads it at
-// startup). Same CRC-footer file format discipline as the trainer
-// checkpoint (train/checkpoint.cc).
+// startup). Same CRC-footer discipline as the trainer checkpoint, whose
+// RNG-state and parameter blocks it shares (train/checkpoint.h).
 
-constexpr char kCkptMagic[4] = {'X', 'F', 'D', 'C'};
+constexpr std::string_view kCkptMagic = "XFDC";
 constexpr uint32_t kCkptVersion = 1;
 
-constexpr char kResultMagic[4] = {'X', 'F', 'D', 'R'};
+constexpr std::string_view kResultMagic = "XFDR";
 constexpr uint32_t kResultVersion = 1;
 
-template <typename T>
-void WritePod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-void WriteString(std::ostream& out, const std::string& s) {
-  WritePod(out, static_cast<uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-bool ReadString(std::istream& in, std::string* s) {
-  uint32_t len = 0;
-  if (!ReadPod(in, &len) || len > (1u << 20)) return false;
-  s->resize(len);
-  in.read(s->data(), len);
-  return static_cast<bool>(in);
-}
-
-void WriteTensor(std::ostream& out, const nn::Tensor& t) {
-  WritePod(out, t.rows());
-  WritePod(out, t.cols());
-  out.write(reinterpret_cast<const char*>(t.data()),
-            static_cast<std::streamsize>(t.size() * sizeof(float)));
-}
-
-bool ReadTensor(std::istream& in, nn::Tensor* t) {
-  int64_t rows = 0, cols = 0;
-  if (!ReadPod(in, &rows) || !ReadPod(in, &cols) || rows < 0 || cols < 0) {
-    return false;
-  }
-  *t = nn::Tensor(rows, cols);
-  in.read(reinterpret_cast<char*>(t->data()),
-          static_cast<std::streamsize>(rows * cols * sizeof(float)));
-  return static_cast<bool>(in);
-}
+// One result.bin history entry: i32 epoch, eight f64 fields, i32 killed
+// worker, i64 redistributed batches, u8 restarted, f64 recovery seconds.
+constexpr size_t kDistEpochBytes = 4 + 8 * 8 + 4 + 8 + 1 + 8;
 
 /// The non-parameter part of a rank's epoch-boundary state.
 struct WorkerState {
@@ -90,37 +52,31 @@ Status SaveWorkerCheckpoint(const std::string& path, uint64_t seed,
                             const WorkerState& st,
                             const std::vector<nn::NamedParameter>& params,
                             const nn::AdamW& optimizer) {
-  std::ostringstream out;
-  out.write(kCkptMagic, 4);
-  WritePod(out, kCkptVersion);
-  WritePod(out, seed);
-  WritePod(out, st.next_epoch);
-  WritePod(out, st.best_val_auc);
-  WritePod(out, st.stale);
-  const DdpRank::Walk& walk = st.walk;
-  for (uint64_t s : walk.rng.s) WritePod(out, s);
-  WritePod(out, static_cast<uint8_t>(walk.rng.has_cached_gaussian ? 1 : 0));
-  WritePod(out, walk.rng.cached_gaussian);
-  WritePod(out, walk.cursor);
-  WritePod(out, static_cast<int64_t>(walk.order.size()));
-  out.write(reinterpret_cast<const char*>(walk.order.data()),
-            static_cast<std::streamsize>(walk.order.size() * sizeof(int32_t)));
-
   const std::vector<nn::Tensor>& m = optimizer.first_moments();
   const std::vector<nn::Tensor>& v = optimizer.second_moments();
   if (m.size() != params.size() || v.size() != params.size()) {
     return Status::InvalidArgument(
         "worker checkpoint: optimizer state count != parameter count");
   }
-  WritePod(out, static_cast<int64_t>(params.size()));
+  std::string image;
+  ByteWriter out(&image);
+  out.PutBytes(kCkptMagic);
+  out.Put(kCkptVersion);
+  out.Put(seed);
+  out.Put(st.next_epoch);
+  out.Put(st.best_val_auc);
+  out.Put(st.stale);
+  const DdpRank::Walk& walk = st.walk;
+  train::WriteRngState(walk.rng, &out);
+  out.Put(walk.cursor);
+  out.PutVector(walk.order);
+  out.Put(static_cast<int64_t>(params.size()));
   for (size_t i = 0; i < params.size(); ++i) {
-    WriteString(out, params[i].name);
-    WriteTensor(out, params[i].var.value());
-    WriteTensor(out, m[i]);
-    WriteTensor(out, v[i]);
+    train::WriteParameterEntry(params[i].name, params[i].var.value(), m[i],
+                               v[i], &out);
   }
-  WritePod(out, optimizer.step_count());
-  return AtomicWriteFileWithCrc(path, out.str());
+  out.Put(optimizer.step_count());
+  return AtomicWriteFileWithCrc(path, image);
 }
 
 Status LoadWorkerCheckpoint(const std::string& path, uint64_t seed,
@@ -129,71 +85,48 @@ Status LoadWorkerCheckpoint(const std::string& path, uint64_t seed,
                             nn::AdamW* optimizer) {
   Result<std::string> raw = ReadFileVerifyCrc(path);
   if (!raw.ok()) return raw.status();
-  std::istringstream in(std::move(raw).value());
-
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, kCkptMagic, 4) != 0) {
-    return Status::Corruption("bad worker checkpoint magic: " + path);
-  }
-  uint32_t version = 0;
-  if (!ReadPod(in, &version) || version != kCkptVersion) {
-    return Status::Corruption("unsupported worker checkpoint version in " +
-                              path);
-  }
-  uint64_t saved_seed = 0;
-  if (!ReadPod(in, &saved_seed)) {
-    return Status::Corruption("truncated worker checkpoint: " + path);
-  }
+  ByteReader in(raw.value());
+  const std::string context = "worker checkpoint " + path;
+  in.ExpectMagic(kCkptMagic);
+  if (in.Get<uint32_t>() != kCkptVersion) in.Fail("unsupported version");
+  const uint64_t saved_seed = in.Get<uint64_t>();
+  XF_RETURN_IF_ERROR(in.status(context));
   if (saved_seed != seed) {
     return Status::InvalidArgument(
         "worker checkpoint " + path + " was written by a run with seed " +
         std::to_string(saved_seed) + ", not " + std::to_string(seed));
   }
   DdpRank::Walk& walk = st->walk;
-  uint8_t has_gauss = 0;
-  int64_t order_count = 0;
-  bool ok = ReadPod(in, &st->next_epoch) && ReadPod(in, &st->best_val_auc) &&
-            ReadPod(in, &st->stale);
-  for (uint64_t& s : walk.rng.s) ok = ok && ReadPod(in, &s);
-  ok = ok && ReadPod(in, &has_gauss) &&
-       ReadPod(in, &walk.rng.cached_gaussian) && ReadPod(in, &walk.cursor) &&
-       ReadPod(in, &order_count);
-  if (!ok || order_count < 0 || st->next_epoch < 0) {
-    return Status::Corruption("truncated worker checkpoint: " + path);
+  if (in.Get(&st->next_epoch) && st->next_epoch < 0) {
+    in.Fail("negative epoch");
   }
-  walk.rng.has_cached_gaussian = has_gauss != 0;
-  walk.order.resize(static_cast<size_t>(order_count));
-  in.read(reinterpret_cast<char*>(walk.order.data()),
-          static_cast<std::streamsize>(walk.order.size() * sizeof(int32_t)));
-  int64_t param_count = 0;
-  if (!in || !ReadPod(in, &param_count) ||
-      param_count != static_cast<int64_t>(params->size())) {
-    return Status::Corruption(
-        "worker checkpoint parameter count mismatch in " + path);
+  in.Get(&st->best_val_auc);
+  in.Get(&st->stale);
+  train::ReadRngState(&in, &walk.rng);
+  in.Get(&walk.cursor);
+  in.GetVector(&walk.order);
+  if (in.Get<int64_t>() != static_cast<int64_t>(params->size())) {
+    in.Fail("parameter count disagrees with the model");
   }
+  XF_RETURN_IF_ERROR(in.status(context));
   std::vector<nn::Tensor> m(params->size());
   std::vector<nn::Tensor> v(params->size());
   for (size_t i = 0; i < params->size(); ++i) {
     std::string name;
     nn::Tensor value;
-    if (!ReadString(in, &name) || !ReadTensor(in, &value) ||
-        !ReadTensor(in, &m[i]) || !ReadTensor(in, &v[i])) {
-      return Status::Corruption("truncated worker checkpoint: " + path);
+    if (!train::ReadParameterEntry(&in, &name, &value, &m[i], &v[i])) {
+      return in.status(context);
     }
     if (name != (*params)[i].name ||
-        value.rows() != (*params)[i].var.value().rows() ||
-        value.cols() != (*params)[i].var.value().cols()) {
+        !value.SameShape((*params)[i].var.value())) {
       return Status::InvalidArgument(
           "worker checkpoint parameter " + name +
           " does not match the constructed model in " + path);
     }
     (*params)[i].var.mutable_value() = std::move(value);
   }
-  int64_t step = 0;
-  if (!ReadPod(in, &step)) {
-    return Status::Corruption("truncated worker checkpoint: " + path);
-  }
+  const int64_t step = in.Get<int64_t>();
+  XF_RETURN_IF_ERROR(in.status(context));
   return optimizer->SetState(std::move(m), std::move(v), step);
 }
 
@@ -201,84 +134,66 @@ Status LoadWorkerCheckpoint(const std::string& path, uint64_t seed,
 
 Status SaveDistResult(const DistributedResult& result,
                       const std::string& path) {
-  std::ostringstream out;
-  out.write(kResultMagic, 4);
-  WritePod(out, kResultVersion);
-  WritePod(out, result.best_val_auc);
-  WritePod(out, result.mean_wall_epoch_seconds);
-  WritePod(out, result.mean_simulated_epoch_seconds);
-  WritePod(out, result.edge_cut_fraction);
-  WritePod(out, static_cast<int64_t>(result.partition_nodes.size()));
-  for (int64_t n : result.partition_nodes) WritePod(out, n);
-  WritePod(out, static_cast<int64_t>(result.history.size()));
+  std::string image;
+  ByteWriter out(&image);
+  out.PutBytes(kResultMagic);
+  out.Put(kResultVersion);
+  out.Put(result.best_val_auc);
+  out.Put(result.mean_wall_epoch_seconds);
+  out.Put(result.mean_simulated_epoch_seconds);
+  out.Put(result.edge_cut_fraction);
+  out.PutVector(result.partition_nodes);
+  out.Put(static_cast<int64_t>(result.history.size()));
   for (const DistributedEpoch& e : result.history) {
-    WritePod(out, static_cast<int32_t>(e.epoch));
-    WritePod(out, e.train_loss);
-    WritePod(out, e.val_auc);
-    WritePod(out, e.wall_seconds);
-    WritePod(out, e.max_worker_sample_seconds);
-    WritePod(out, e.max_worker_compute_seconds);
-    WritePod(out, e.modeled_sync_seconds);
-    WritePod(out, e.measured_comm_seconds);
-    WritePod(out, e.simulated_cluster_seconds);
-    WritePod(out, static_cast<int32_t>(e.killed_worker));
-    WritePod(out, e.redistributed_batches);
-    WritePod(out, static_cast<uint8_t>(e.restarted ? 1 : 0));
-    WritePod(out, e.recovery_seconds);
+    out.Put<int32_t>(e.epoch);
+    out.Put(e.train_loss);
+    out.Put(e.val_auc);
+    out.Put(e.wall_seconds);
+    out.Put(e.max_worker_sample_seconds);
+    out.Put(e.max_worker_compute_seconds);
+    out.Put(e.modeled_sync_seconds);
+    out.Put(e.measured_comm_seconds);
+    out.Put(e.simulated_cluster_seconds);
+    out.Put<int32_t>(e.killed_worker);
+    out.Put(e.redistributed_batches);
+    out.Put(static_cast<uint8_t>(e.restarted ? 1 : 0));
+    out.Put(e.recovery_seconds);
   }
-  return AtomicWriteFileWithCrc(path, out.str());
+  return AtomicWriteFileWithCrc(path, image);
 }
 
 Result<DistributedResult> LoadDistResult(const std::string& path) {
   Result<std::string> raw = ReadFileVerifyCrc(path);
   if (!raw.ok()) return raw.status();
-  std::istringstream in(std::move(raw).value());
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, kResultMagic, 4) != 0) {
-    return Status::Corruption("bad dist result magic: " + path);
-  }
-  uint32_t version = 0;
-  if (!ReadPod(in, &version) || version != kResultVersion) {
-    return Status::Corruption("unsupported dist result version in " + path);
-  }
+  ByteReader in(raw.value());
+  in.ExpectMagic(kResultMagic);
+  if (in.Get<uint32_t>() != kResultVersion) in.Fail("unsupported version");
   DistributedResult result;
-  int64_t partitions = 0;
-  if (!ReadPod(in, &result.best_val_auc) ||
-      !ReadPod(in, &result.mean_wall_epoch_seconds) ||
-      !ReadPod(in, &result.mean_simulated_epoch_seconds) ||
-      !ReadPod(in, &result.edge_cut_fraction) || !ReadPod(in, &partitions) ||
-      partitions < 0) {
-    return Status::Corruption("truncated dist result: " + path);
-  }
-  result.partition_nodes.resize(static_cast<size_t>(partitions));
-  for (int64_t& n : result.partition_nodes) {
-    if (!ReadPod(in, &n)) {
-      return Status::Corruption("truncated dist result: " + path);
+  in.Get(&result.best_val_auc);
+  in.Get(&result.mean_wall_epoch_seconds);
+  in.Get(&result.mean_simulated_epoch_seconds);
+  in.Get(&result.edge_cut_fraction);
+  in.GetVector(&result.partition_nodes);
+  size_t count = 0;
+  if (in.GetCount(kDistEpochBytes, &count)) {
+    result.history.resize(count);
+    for (DistributedEpoch& e : result.history) {
+      e.epoch = in.Get<int32_t>();
+      in.Get(&e.train_loss);
+      in.Get(&e.val_auc);
+      in.Get(&e.wall_seconds);
+      in.Get(&e.max_worker_sample_seconds);
+      in.Get(&e.max_worker_compute_seconds);
+      in.Get(&e.modeled_sync_seconds);
+      in.Get(&e.measured_comm_seconds);
+      in.Get(&e.simulated_cluster_seconds);
+      e.killed_worker = in.Get<int32_t>();
+      in.Get(&e.redistributed_batches);
+      e.restarted = in.Get<uint8_t>() != 0;
+      in.Get(&e.recovery_seconds);
     }
   }
-  int64_t epochs = 0;
-  if (!ReadPod(in, &epochs) || epochs < 0) {
-    return Status::Corruption("truncated dist result: " + path);
-  }
-  result.history.resize(static_cast<size_t>(epochs));
-  for (DistributedEpoch& e : result.history) {
-    int32_t epoch = 0, killed = 0;
-    uint8_t restarted = 0;
-    bool ok = ReadPod(in, &epoch) && ReadPod(in, &e.train_loss) &&
-              ReadPod(in, &e.val_auc) && ReadPod(in, &e.wall_seconds) &&
-              ReadPod(in, &e.max_worker_sample_seconds) &&
-              ReadPod(in, &e.max_worker_compute_seconds) &&
-              ReadPod(in, &e.modeled_sync_seconds) &&
-              ReadPod(in, &e.measured_comm_seconds) &&
-              ReadPod(in, &e.simulated_cluster_seconds) &&
-              ReadPod(in, &killed) && ReadPod(in, &e.redistributed_batches) &&
-              ReadPod(in, &restarted) && ReadPod(in, &e.recovery_seconds);
-    if (!ok) return Status::Corruption("truncated dist result: " + path);
-    e.epoch = epoch;
-    e.killed_worker = killed;
-    e.restarted = restarted != 0;
-  }
+  XF_RETURN_IF_ERROR(in.status("dist result " + path));
   return result;
 }
 

@@ -1,5 +1,7 @@
 #include "xfraud/graph/hetero_graph.h"
 
+#include <algorithm>
+
 #include "xfraud/common/logging.h"
 
 namespace xfraud::graph {
@@ -94,23 +96,28 @@ HeteroGraph::HeteroGraph(std::vector<NodeType> node_types,
   XF_CHECK_EQ(neighbors_.size(), edge_types_.size());
   XF_CHECK_EQ(feature_row_.size(), node_types_.size());
   XF_CHECK_EQ(labels_.size(), node_types_.size());
-  // CSR contract: offsets bracket the edge array and are monotone, every
-  // neighbour id is a valid node, every feature row points into the feature
-  // block. A violation here is how a corrupt deserialized graph would
-  // otherwise surface as silent out-of-bounds reads deep in the sampler.
-  XF_CHECK_EQ(offsets_.front(), 0);
-  XF_CHECK_EQ(offsets_.back(), static_cast<int64_t>(neighbors_.size()));
-  for (size_t v = 0; v + 1 < offsets_.size(); ++v) {
-    XF_CHECK_LE(offsets_[v], offsets_[v + 1]) << "offsets not monotone at " << v;
-  }
-  for (size_t e = 0; e < neighbors_.size(); ++e) {
-    XF_DCHECK_BOUNDS(neighbors_[e], num_nodes()) << "edge " << e;
-  }
-  for (size_t v = 0; v < feature_row_.size(); ++v) {
-    if (feature_row_[v] >= 0) {
-      XF_CHECK_LT(feature_row_[v], txn_features_.rows()) << "node " << v;
-    }
-  }
+  // A violation here is how a corrupt graph would otherwise surface as
+  // silent out-of-bounds reads deep in the sampler.
+  const Status csr =
+      CheckCsr(offsets_, neighbors_, feature_row_, txn_features_.rows());
+  XF_CHECK(csr.ok()) << csr.message();
+}
+
+Status HeteroGraph::CheckCsr(const std::vector<int64_t>& offsets,
+                             const std::vector<int32_t>& neighbors,
+                             const std::vector<int32_t>& feature_row,
+                             int64_t feature_rows) {
+  const int64_t num_nodes = static_cast<int64_t>(offsets.size()) - 1;
+  const bool ok =
+      !offsets.empty() && offsets.front() == 0 &&
+      offsets.back() == static_cast<int64_t>(neighbors.size()) &&
+      std::is_sorted(offsets.begin(), offsets.end()) &&
+      std::all_of(neighbors.begin(), neighbors.end(),
+                  [&](int32_t u) { return u >= 0 && u < num_nodes; }) &&
+      std::all_of(feature_row.begin(), feature_row.end(),
+                  [&](int32_t r) { return r >= -1 && r < feature_rows; });
+  return ok ? Status::OK()
+            : Status::Corruption("graph breaks the CSR contract");
 }
 
 std::vector<int32_t> HeteroGraph::LabeledTransactions() const {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "xfraud/common/check.h"
+#include "xfraud/common/status.h"
 #include "xfraud/nn/tensor.h"
 
 namespace xfraud::graph {
@@ -68,6 +69,14 @@ class HeteroGraph {
               std::vector<int32_t> neighbors, std::vector<EdgeType> edge_types,
               nn::Tensor txn_features, std::vector<int32_t> feature_row,
               std::vector<int8_t> labels);
+
+  /// The CSR contract the constructor enforces (offsets from 0, monotone, to
+  /// the edge count; neighbours are node ids; feature rows are -1 or inside
+  /// `feature_rows`), as a Status a deserializer checks before constructing.
+  static Status CheckCsr(const std::vector<int64_t>& offsets,
+                         const std::vector<int32_t>& neighbors,
+                         const std::vector<int32_t>& feature_row,
+                         int64_t feature_rows);
 
   int64_t num_nodes() const { return static_cast<int64_t>(node_types_.size()); }
   /// Number of directed edges (2x the number of linkages).

@@ -1,51 +1,17 @@
 #include "xfraud/graph/serialize.h"
 
-#include <cstring>
-#include <sstream>
 #include <vector>
 
 #include "xfraud/common/atomic_file.h"
+#include "xfraud/common/bytes.h"
 #include "xfraud/common/crc32.h"
 
 namespace xfraud::graph {
 
 namespace {
 
-constexpr char kMagic[4] = {'X', 'F', 'G', 'R'};
+constexpr std::string_view kMagic = "XFGR";
 constexpr uint32_t kVersion = 1;
-
-template <typename T>
-void WritePod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-void WriteVec(std::ostream& out, const std::vector<T>& v, uint32_t* crc_acc,
-              std::string* buffer) {
-  const char* data = reinterpret_cast<const char*>(v.data());
-  size_t bytes = v.size() * sizeof(T);
-  out.write(data, static_cast<std::streamsize>(bytes));
-  buffer->append(data, bytes);
-  (void)crc_acc;
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-template <typename T>
-bool ReadVec(std::istream& in, size_t count, std::vector<T>* v,
-             std::string* buffer) {
-  v->resize(count);
-  in.read(reinterpret_cast<char*>(v->data()),
-          static_cast<std::streamsize>(count * sizeof(T)));
-  if (!in) return false;
-  buffer->append(reinterpret_cast<const char*>(v->data()),
-                 count * sizeof(T));
-  return true;
-}
 
 }  // namespace
 
@@ -53,21 +19,21 @@ Status SaveGraph(const HeteroGraph& g, const std::string& path) {
   // Serialize into memory, then publish via tmp-file + rename with a CRC32
   // footer over the whole image (the in-format checksum only covers the
   // payload arrays, not the header): crash-safe and torn-file-proof.
-  std::ostringstream out;
-  out.write(kMagic, 4);
-  WritePod(out, kVersion);
+  std::string image;
+  ByteWriter out(&image);
+  out.PutBytes(kMagic);
+  out.Put(kVersion);
   int64_t num_nodes = g.num_nodes();
   int64_t num_edges = g.num_edges();
   // Count feature rows.
   int64_t feature_rows = 0;
   for (int32_t v = 0; v < num_nodes; ++v) feature_rows += g.HasFeatures(v);
   int64_t feature_dim = g.feature_dim();
-  WritePod(out, num_nodes);
-  WritePod(out, num_edges);
-  WritePod(out, feature_rows);
-  WritePod(out, feature_dim);
+  out.Put(num_nodes);
+  out.Put(num_edges);
+  out.Put(feature_rows);
+  out.Put(feature_dim);
 
-  std::string crc_buffer;
   // Node types, labels, feature-row map.
   std::vector<uint8_t> types(num_nodes);
   std::vector<int8_t> labels(num_nodes);
@@ -92,17 +58,16 @@ Status SaveGraph(const HeteroGraph& g, const std::string& path) {
     edge_types[e] = static_cast<uint8_t>(g.edge_types()[e]);
   }
 
-  WriteVec(out, types, nullptr, &crc_buffer);
-  WriteVec(out, labels, nullptr, &crc_buffer);
-  WriteVec(out, feature_row, nullptr, &crc_buffer);
-  WriteVec(out, offsets, nullptr, &crc_buffer);
-  WriteVec(out, g.neighbors(), nullptr, &crc_buffer);
-  WriteVec(out, edge_types, nullptr, &crc_buffer);
-  WriteVec(out, features, nullptr, &crc_buffer);
-
-  uint32_t crc = Crc32(crc_buffer.data(), crc_buffer.size());
-  WritePod(out, crc);
-  return AtomicWriteFileWithCrc(path, out.str());
+  const size_t payload_begin = image.size();
+  out.PutArray(types.data(), types.size());
+  out.PutArray(labels.data(), labels.size());
+  out.PutArray(feature_row.data(), feature_row.size());
+  out.PutArray(offsets.data(), offsets.size());
+  out.PutArray(g.neighbors().data(), g.neighbors().size());
+  out.PutArray(edge_types.data(), edge_types.size());
+  out.PutArray(features.data(), features.size());
+  out.Put(Crc32(image.data() + payload_begin, image.size() - payload_begin));
+  return AtomicWriteFileWithCrc(path, image);
 }
 
 Result<HeteroGraph> LoadGraph(const std::string& path) {
@@ -113,23 +78,21 @@ Result<HeteroGraph> LoadGraph(const std::string& path) {
     }
     return raw.status();
   }
-  std::istringstream in(std::move(raw).value());
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, kMagic, 4) != 0) {
-    return Status::Corruption("bad graph magic: " + path);
-  }
-  uint32_t version = 0;
-  int64_t num_nodes = 0, num_edges = 0, feature_rows = 0, feature_dim = 0;
-  if (!ReadPod(in, &version) || version != kVersion ||
-      !ReadPod(in, &num_nodes) || !ReadPod(in, &num_edges) ||
-      !ReadPod(in, &feature_rows) || !ReadPod(in, &feature_dim) ||
-      num_nodes < 0 || num_edges < 0 || feature_rows < 0 ||
-      feature_dim < 0) {
-    return Status::Corruption("bad graph header: " + path);
-  }
+  const std::string& image = raw.value();
+  ByteReader in(image);
+  in.ExpectMagic(kMagic);
+  if (in.Get<uint32_t>() != kVersion) in.Fail("unsupported version");
+  const int64_t num_nodes = in.Get<int64_t>();
+  const int64_t num_edges = in.Get<int64_t>();
+  const int64_t feature_rows = in.Get<int64_t>();
+  const int64_t feature_dim = in.Get<int64_t>();
+  // A negative or oversized count fails its read below (as a huge u64).
+  const uint64_t feature_values =
+      in.CheckShape(feature_rows, feature_dim, sizeof(float))
+          ? static_cast<uint64_t>(feature_rows * feature_dim)
+          : 0;
 
-  std::string crc_buffer;
+  const size_t payload_begin = in.position();
   std::vector<uint8_t> types;
   std::vector<int8_t> labels;
   std::vector<int32_t> feature_row;
@@ -137,20 +100,21 @@ Result<HeteroGraph> LoadGraph(const std::string& path) {
   std::vector<int32_t> neighbors;
   std::vector<uint8_t> edge_types;
   std::vector<float> features;
-  if (!ReadVec(in, num_nodes, &types, &crc_buffer) ||
-      !ReadVec(in, num_nodes, &labels, &crc_buffer) ||
-      !ReadVec(in, num_nodes, &feature_row, &crc_buffer) ||
-      !ReadVec(in, num_nodes + 1, &offsets, &crc_buffer) ||
-      !ReadVec(in, num_edges, &neighbors, &crc_buffer) ||
-      !ReadVec(in, num_edges, &edge_types, &crc_buffer) ||
-      !ReadVec(in, feature_rows * feature_dim, &features, &crc_buffer)) {
-    return Status::Corruption("truncated graph payload: " + path);
+  in.GetArray(num_nodes, &types);
+  in.GetArray(num_nodes, &labels);
+  in.GetArray(num_nodes, &feature_row);
+  in.GetArray(static_cast<uint64_t>(num_nodes) + 1, &offsets);
+  in.GetArray(num_edges, &neighbors);
+  in.GetArray(num_edges, &edge_types);
+  in.GetArray(feature_values, &features);
+  const size_t payload_end = in.position();
+  if (in.Get<uint32_t>() != Crc32(image.data() + payload_begin,
+                                  payload_end - payload_begin)) {
+    in.Fail("graph payload checksum mismatch");
   }
-  uint32_t stored_crc = 0;
-  if (!ReadPod(in, &stored_crc) ||
-      stored_crc != Crc32(crc_buffer.data(), crc_buffer.size())) {
-    return Status::Corruption("graph checksum mismatch: " + path);
-  }
+  XF_RETURN_IF_ERROR(in.status("graph " + path));
+  XF_RETURN_IF_ERROR(
+      HeteroGraph::CheckCsr(offsets, neighbors, feature_row, feature_rows));
 
   std::vector<NodeType> node_types(num_nodes);
   for (int64_t v = 0; v < num_nodes; ++v) {

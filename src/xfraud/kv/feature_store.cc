@@ -1,31 +1,14 @@
 #include "xfraud/kv/feature_store.h"
 
-#include <cstring>
 #include <functional>
 
 #include "xfraud/common/clock.h"
 #include "xfraud/common/logging.h"
+#include "xfraud/kv/graph_schema.h"
 
 namespace xfraud::kv {
 
 namespace {
-
-std::string NodeKey(int32_t id) { return "n" + std::to_string(id); }
-std::string FeatKey(int32_t id) { return "f" + std::to_string(id); }
-std::string AdjKey(int32_t id) { return "a" + std::to_string(id); }
-
-template <typename T>
-void AppendPod(std::string* out, const T& v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::string_view data, size_t* offset, T* out) {
-  if (*offset + sizeof(T) > data.size()) return false;
-  std::memcpy(out, data.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
 
 // Polls the calling thread's DeadlineScope (serving-path requests open one
 // around sampling + KV reads); no scope means no deadline.
@@ -56,28 +39,22 @@ Status FeatureStore::GetWithRetry(const std::string& key, std::string* value,
 }
 
 Status FeatureStore::Ingest(const graph::HeteroGraph& g) {
-  std::string meta;
-  AppendPod(&meta, g.num_nodes());
-  AppendPod(&meta, g.feature_dim());
-  XF_RETURN_IF_ERROR(store_->Put("m", meta));
+  XF_RETURN_IF_ERROR(
+      store_->Put(kMetaKey, EncodeMeta(g.num_nodes(), g.feature_dim())));
 
   for (int32_t v = 0; v < g.num_nodes(); ++v) {
-    std::string node;
-    AppendPod(&node, static_cast<uint8_t>(g.node_type(v)));
-    AppendPod(&node, g.label(v));
-    AppendPod(&node, static_cast<uint8_t>(g.HasFeatures(v) ? 1 : 0));
-    XF_RETURN_IF_ERROR(store_->Put(NodeKey(v), node));
+    XF_RETURN_IF_ERROR(store_->Put(
+        NodeKey(v), EncodeNode(g.node_type(v), g.label(v), g.HasFeatures(v))));
 
     if (g.HasFeatures(v)) {
-      std::string feat(reinterpret_cast<const char*>(g.Features(v)),
-                       g.feature_dim() * sizeof(float));
-      XF_RETURN_IF_ERROR(store_->Put(FeatKey(v), feat));
+      XF_RETURN_IF_ERROR(store_->Put(
+          FeatKey(v), EncodeFeatures(g.Features(v),
+                                     static_cast<size_t>(g.feature_dim()))));
     }
 
     std::string adj;
     for (int64_t e = g.InDegreeBegin(v); e < g.InDegreeEnd(v); ++e) {
-      AppendPod(&adj, g.neighbors()[e]);
-      AppendPod(&adj, static_cast<uint8_t>(g.edge_types()[e]));
+      AppendAdjacency(g.neighbors()[e], g.edge_types()[e], &adj);
     }
     XF_RETURN_IF_ERROR(store_->Put(AdjKey(v), adj));
   }
@@ -85,24 +62,18 @@ Status FeatureStore::Ingest(const graph::HeteroGraph& g) {
 }
 
 Result<int64_t> FeatureStore::NumNodes(uint64_t epoch) const {
-  std::string meta;
-  XF_RETURN_IF_ERROR(GetWithRetry("m", &meta, epoch));
-  size_t offset = 0;
-  int64_t num_nodes = 0;
-  if (!ReadPod(meta, &offset, &num_nodes)) {
-    return Status::Corruption("bad metadata record");
-  }
+  std::string raw;
+  int64_t num_nodes = 0, dim = 0;
+  XF_RETURN_IF_ERROR(GetWithRetry(kMetaKey, &raw, epoch));
+  XF_RETURN_IF_ERROR(DecodeMeta(raw, &num_nodes, &dim));
   return num_nodes;
 }
 
 Result<int64_t> FeatureStore::FeatureDim(uint64_t epoch) const {
-  std::string meta;
-  XF_RETURN_IF_ERROR(GetWithRetry("m", &meta, epoch));
-  size_t offset = sizeof(int64_t);
-  int64_t dim = 0;
-  if (!ReadPod(meta, &offset, &dim)) {
-    return Status::Corruption("bad metadata record");
-  }
+  std::string raw;
+  int64_t num_nodes = 0, dim = 0;
+  XF_RETURN_IF_ERROR(GetWithRetry(kMetaKey, &raw, epoch));
+  XF_RETURN_IF_ERROR(DecodeMeta(raw, &num_nodes, &dim));
   return dim;
 }
 
@@ -110,12 +81,7 @@ Status FeatureStore::ReadFeatures(int32_t node, std::vector<float>* out,
                                   uint64_t epoch) const {
   std::string raw;
   XF_RETURN_IF_ERROR(GetWithRetry(FeatKey(node), &raw, epoch));
-  if (raw.size() % sizeof(float) != 0) {
-    return Status::Corruption("bad feature record size");
-  }
-  out->resize(raw.size() / sizeof(float));
-  std::memcpy(out->data(), raw.data(), raw.size());
-  return Status::OK();
+  return DecodeFeatures(raw, out);
 }
 
 Status FeatureStore::ReadNeighbors(int32_t node,
@@ -131,41 +97,14 @@ Status FeatureStore::ReadNeighbors(int32_t node,
     XF_RETURN_IF_ERROR(GetWithRetry(AdjKey(node), &raw, epoch));
     if (cacheable) adj_cache_->Insert(epoch, node, raw);
   }
-  constexpr size_t kEntry = sizeof(int32_t) + sizeof(uint8_t);
-  if (raw.size() % kEntry != 0) {
-    return Status::Corruption("bad adjacency record size");
-  }
-  size_t count = raw.size() / kEntry;
-  neighbors->resize(count);
-  edge_types->resize(count);
-  size_t offset = 0;
-  for (size_t i = 0; i < count; ++i) {
-    ReadPod(raw, &offset, &(*neighbors)[i]);
-    ReadPod(raw, &offset, &(*edge_types)[i]);
-    if ((*edge_types)[i] >= graph::kNumEdgeTypes) {
-      return Status::Corruption("bad edge type byte " +
-                                std::to_string((*edge_types)[i]));
-    }
-  }
-  return Status::OK();
+  return DecodeAdjacency(raw, neighbors, edge_types);
 }
 
 Status FeatureStore::ReadNode(int32_t node, graph::NodeType* type,
                               int8_t* label, uint64_t epoch) const {
   std::string raw;
   XF_RETURN_IF_ERROR(GetWithRetry(NodeKey(node), &raw, epoch));
-  size_t offset = 0;
-  uint8_t type_byte = 0, has_features = 0;
-  if (!ReadPod(raw, &offset, &type_byte) || !ReadPod(raw, &offset, label) ||
-      !ReadPod(raw, &offset, &has_features)) {
-    return Status::Corruption("bad node record");
-  }
-  if (type_byte >= graph::kNumNodeTypes) {
-    return Status::Corruption("bad node type byte " +
-                              std::to_string(type_byte));
-  }
-  *type = static_cast<graph::NodeType>(type_byte);
-  return Status::OK();
+  return DecodeNode(raw, type, label);
 }
 
 Result<graph::MiniBatch> FeatureStore::LoadBatch(
@@ -264,8 +203,10 @@ Result<graph::MiniBatch> FeatureStore::LoadBatchImpl(
 
     std::vector<float> feat;
     Status fs = ReadFeatures(global, &feat, epoch);
+    if (fs.ok() && static_cast<int64_t>(feat.size()) != dim.value()) {
+      fs = Status::Corruption("feature record width disagrees with metadata");
+    }
     if (fs.ok()) {
-      XF_CHECK_EQ(static_cast<int64_t>(feat.size()), dim.value());
       std::copy(feat.begin(), feat.end(),
                 batch.features.Row(static_cast<int64_t>(local)));
     } else if (!fs.IsNotFound()) {

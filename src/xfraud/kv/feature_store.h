@@ -18,11 +18,7 @@ namespace xfraud::kv {
 /// every DDP worker's loader materializes its mini-batches by KV reads
 /// instead of holding the whole graph in memory.
 ///
-/// Key schema:
-///   "m"          -> {num_nodes: i64, feature_dim: i64}
-///   "n<id>"      -> {type: u8, label: i8, has_features: u8}
-///   "f<id>"      -> float[feature_dim] (transaction nodes only)
-///   "a<id>"      -> (i32 neighbor, u8 edge_type)[in_degree]
+/// Keys and records follow the serving schema in kv/graph_schema.h.
 class FeatureStore {
  public:
   /// Wraps (not owning) a KvStore.

@@ -6,8 +6,8 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 
+#include "xfraud/common/bytes.h"
 #include "xfraud/common/crc32.h"
 #include "xfraud/common/logging.h"
 #include "xfraud/kv/kv_metrics.h"
@@ -22,17 +22,38 @@ constexpr uint8_t kKindEpoch = 3;  // commit marker: klen 0, value LE64 epoch
 constexpr uint8_t kKindFloor = 4;  // GC floor: klen 0, value LE64 epoch
 constexpr size_t kHeaderSize = 4 + 1 + 4 + 4;  // crc + kind + klen + vlen
 
-void EncodeU32(char* out, uint32_t v) { std::memcpy(out, &v, 4); }
-uint32_t DecodeU32(const char* in) {
-  uint32_t v;
-  std::memcpy(&v, in, 4);
-  return v;
+// The one record encoder: writes the record at `*end` of `fd` (appends and
+// compaction alike) and advances `*end` past it.
+Status WriteRecord(int fd, const std::string& path, int64_t* end,
+                   uint8_t kind, std::string_view key,
+                   std::string_view value) {
+  // Record framing stores lengths as u32; larger payloads would be silently
+  // truncated on replay.
+  XF_CHECK_LE(key.size(), UINT32_MAX);
+  XF_CHECK_LE(value.size(), UINT32_MAX);
+  std::string rec;
+  rec.reserve(kHeaderSize + key.size() + value.size());
+  ByteWriter out(&rec);
+  out.Put<uint32_t>(0);  // crc over the rest, sealed below
+  out.Put(kind);
+  out.Put(static_cast<uint32_t>(key.size()));
+  out.Put(static_cast<uint32_t>(value.size()));
+  out.PutBytes(key);
+  out.PutBytes(value);
+  out.PutAt<uint32_t>(0, Crc32(rec.data() + 4, rec.size() - 4));
+  if (::pwrite(fd, rec.data(), rec.size(), *end) !=
+      static_cast<ssize_t>(rec.size())) {
+    return Status::IoError("short write on " + path);
+  }
+  *end += static_cast<int64_t>(rec.size());
+  return Status::OK();
 }
-void EncodeU64(char* out, uint64_t v) { std::memcpy(out, &v, 8); }
-uint64_t DecodeU64(const char* in) {
-  uint64_t v;
-  std::memcpy(&v, in, 8);
-  return v;
+
+// The LE64 epoch value of commit-marker and GC-floor records.
+std::string EncodeEpoch(uint64_t epoch) {
+  std::string value;
+  ByteWriter(&value).Put(epoch);
+  return value;
 }
 
 }  // namespace
@@ -100,36 +121,42 @@ Status LogKvStore::ReplayLog() {
   int64_t offset = 0;
   int64_t valid_end = 0;
   while (offset + static_cast<int64_t>(kHeaderSize) <= file_size_) {
-    const char* rec = map_base_ + offset;
-    uint32_t crc = DecodeU32(rec);
-    uint8_t kind = static_cast<uint8_t>(rec[4]);
-    uint32_t klen = DecodeU32(rec + 5);
-    uint32_t vlen = DecodeU32(rec + 9);
-    int64_t total = static_cast<int64_t>(kHeaderSize) + klen + vlen;
-    if (offset + total > file_size_) break;  // truncated tail
-    uint32_t actual = Crc32(rec + 4, kHeaderSize - 4 + klen + vlen);
-    if (actual != crc) break;  // corrupt tail: stop replay (crash safety)
-    std::string key(rec + kHeaderSize, klen);
-    const int64_t value_offset =
-        offset + static_cast<int64_t>(kHeaderSize) + klen;
+    ByteReader rec(map_base_ + offset,
+                   static_cast<size_t>(file_size_ - offset));
+    const uint32_t crc = rec.Get<uint32_t>();
+    const uint8_t kind = rec.Get<uint8_t>();
+    const uint32_t klen = rec.Get<uint32_t>();
+    const uint32_t vlen = rec.Get<uint32_t>();
+    std::string_view key, value;
+    rec.GetBytes(klen, &key);
+    if (!rec.GetBytes(vlen, &value)) break;  // truncated tail
+    const size_t total = rec.position();
+    if (Crc32(map_base_ + offset + 4, total - 4) != crc) {
+      break;  // corrupt tail: stop replay (crash safety)
+    }
     if (kind == kKindPut) {
-      UpsertPending(key, Version{published_ + 1, value_offset, vlen});
+      const int64_t value_offset = offset + static_cast<int64_t>(total - vlen);
+      UpsertPending(std::string(key),
+                    Version{published_ + 1, value_offset, vlen});
     } else if (kind == kKindDelete) {
-      UpsertPending(key, Version{published_ + 1, -1, 0});
-    } else if (kind == kKindEpoch) {
-      // A marker commits exactly the next epoch; anything else means the
-      // log was torn or tampered with — stop replay there.
-      if (klen != 0 || vlen != 8) break;
-      if (DecodeU64(rec + kHeaderSize) != published_ + 1) break;
-      ++published_;
-      published_end_ = offset + total;
-    } else if (kind == kKindFloor) {
-      if (klen != 0 || vlen != 8) break;
-      floor_ = DecodeU64(rec + kHeaderSize);
+      UpsertPending(std::string(key), Version{published_ + 1, -1, 0});
+    } else if (kind == kKindEpoch || kind == kKindFloor) {
+      ByteReader epoch_value(value);
+      const uint64_t epoch = epoch_value.Get<uint64_t>();
+      if (klen != 0 || !epoch_value.ExpectEnd()) break;
+      if (kind == kKindFloor) {
+        floor_ = epoch;
+      } else {
+        // A marker commits exactly the next epoch; anything else means the
+        // log was torn or tampered with — stop replay there.
+        if (epoch != published_ + 1) break;
+        ++published_;
+        published_end_ = offset + static_cast<int64_t>(total);
+      }
     } else {
       break;  // unknown record kind: treat as corruption
     }
-    offset += total;
+    offset += static_cast<int64_t>(total);
     valid_end = offset;
   }
   // Drop any corrupt/truncated tail so future appends start clean.
@@ -172,27 +199,7 @@ const LogKvStore::Version* LogKvStore::ResolveAt(
 
 Status LogKvStore::AppendRecord(uint8_t kind, std::string_view key,
                                 std::string_view value) {
-  // Record framing stores lengths as u32; larger payloads would be silently
-  // truncated on replay.
-  XF_CHECK_LE(key.size(), UINT32_MAX);
-  XF_CHECK_LE(value.size(), UINT32_MAX);
-  size_t total = kHeaderSize + key.size() + value.size();
-  std::string buf(total, '\0');
-  buf[4] = static_cast<char>(kind);
-  EncodeU32(buf.data() + 5, static_cast<uint32_t>(key.size()));
-  EncodeU32(buf.data() + 9, static_cast<uint32_t>(value.size()));
-  std::memcpy(buf.data() + kHeaderSize, key.data(), key.size());
-  std::memcpy(buf.data() + kHeaderSize + key.size(), value.data(),
-              value.size());
-  uint32_t crc = Crc32(buf.data() + 4, total - 4);
-  EncodeU32(buf.data(), crc);
-
-  ssize_t written = ::pwrite(fd_, buf.data(), total, file_size_);
-  if (written != static_cast<ssize_t>(total)) {
-    return Status::IoError("short write on " + path_);
-  }
-  file_size_ += static_cast<int64_t>(total);
-  return Status::OK();
+  return WriteRecord(fd_, path_, &file_size_, kind, key, value);
 }
 
 Status LogKvStore::Put(std::string_view key, std::string_view value) {
@@ -325,9 +332,7 @@ std::vector<std::string> LogKvStore::KeysWithPrefixAt(std::string_view prefix,
 Result<uint64_t> LogKvStore::PublishEpoch() {
   std::unique_lock lock(mu_);
   const uint64_t next = published_ + 1;
-  char buf[8];
-  EncodeU64(buf, next);
-  XF_RETURN_IF_ERROR(AppendRecord(kKindEpoch, "", std::string_view(buf, 8)));
+  XF_RETURN_IF_ERROR(AppendRecord(kKindEpoch, "", EncodeEpoch(next)));
   // The marker + fsync IS the commit: before this returns OK the epoch does
   // not exist (replay stops at the previous marker); after it returns OK
   // the epoch can never be lost to a crash.
@@ -454,21 +459,7 @@ Result<int64_t> LogKvStore::Compact() {
 
   auto write_record = [&](uint8_t kind, std::string_view key,
                           std::string_view value) -> Status {
-    size_t total = kHeaderSize + key.size() + value.size();
-    std::string buf(total, '\0');
-    buf[4] = static_cast<char>(kind);
-    EncodeU32(buf.data() + 5, static_cast<uint32_t>(key.size()));
-    EncodeU32(buf.data() + 9, static_cast<uint32_t>(value.size()));
-    std::memcpy(buf.data() + kHeaderSize, key.data(), key.size());
-    std::memcpy(buf.data() + kHeaderSize + key.size(), value.data(),
-                value.size());
-    EncodeU32(buf.data(), Crc32(buf.data() + 4, total - 4));
-    if (::pwrite(tmp_fd, buf.data(), total, new_size) !=
-        static_cast<ssize_t>(total)) {
-      return Status::IoError("short write on " + tmp_path);
-    }
-    new_size += static_cast<int64_t>(total);
-    return Status::OK();
+    return WriteRecord(tmp_fd, tmp_path, &new_size, kind, key, value);
   };
   auto fail = [&](Status s) -> Result<int64_t> {
     ::close(tmp_fd);
@@ -480,9 +471,7 @@ Result<int64_t> LogKvStore::Compact() {
   // which keeps never-pinned single-epoch stores' images byte-identical to
   // the pre-MVCC layout.
   if (floor > 1) {
-    char buf[8];
-    EncodeU64(buf, floor);
-    Status s = write_record(kKindFloor, "", std::string_view(buf, 8));
+    Status s = write_record(kKindFloor, "", EncodeEpoch(floor));
     if (!s.ok()) return fail(std::move(s));
   }
   for (uint64_t e = 1; e <= published_ + 1; ++e) {
@@ -511,9 +500,7 @@ Result<int64_t> LogKvStore::Compact() {
     // validates consecutive numbering); the pending segment, if any, stays
     // uncommitted — no trailing marker.
     if (e <= published_) {
-      char buf[8];
-      EncodeU64(buf, e);
-      Status s = write_record(kKindEpoch, "", std::string_view(buf, 8));
+      Status s = write_record(kKindEpoch, "", EncodeEpoch(e));
       if (!s.ok()) return fail(std::move(s));
       new_published_end = new_size;
     }

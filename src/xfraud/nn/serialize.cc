@@ -1,8 +1,6 @@
 #include "xfraud/nn/serialize.h"
 
 #include <cstdint>
-#include <cstring>
-#include <sstream>
 #include <unordered_map>
 
 #include "xfraud/common/atomic_file.h"
@@ -10,30 +8,41 @@
 namespace xfraud::nn {
 
 namespace {
-constexpr char kMagic[4] = {'X', 'F', 'C', 'K'};
+constexpr std::string_view kMagic = "XFCK";
 }  // namespace
+
+void PutTensor(const Tensor& t, ByteWriter* out) {
+  out->Put(t.rows());
+  out->Put(t.cols());
+  out->PutArray(t.data(), static_cast<size_t>(t.size()));
+}
+
+bool GetTensor(ByteReader* in, Tensor* t) {
+  const int64_t rows = in->Get<int64_t>();
+  const int64_t cols = in->Get<int64_t>();
+  std::vector<float> data;
+  if (!in->CheckShape(rows, cols, sizeof(float)) ||
+      !in->GetArray(static_cast<uint64_t>(rows * cols), &data)) {
+    return false;
+  }
+  *t = Tensor(rows, cols, std::move(data));
+  return true;
+}
 
 Status SaveParameters(const std::vector<NamedParameter>& params,
                       const std::string& path) {
   // Serialize into memory, then publish with tmp-file + rename + CRC32
   // footer: a crash mid-save leaves the previous checkpoint intact, and a
   // torn/bit-flipped file is rejected at load instead of misparsed.
-  std::ostringstream out;
-  out.write(kMagic, 4);
-  uint32_t count = static_cast<uint32_t>(params.size());
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  std::string image;
+  ByteWriter out(&image);
+  out.PutBytes(kMagic);
+  out.Put(static_cast<uint32_t>(params.size()));
   for (const auto& p : params) {
-    uint32_t name_len = static_cast<uint32_t>(p.name.size());
-    out.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
-    out.write(p.name.data(), name_len);
-    int64_t rows = p.var.value().rows();
-    int64_t cols = p.var.value().cols();
-    out.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-    out.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
-    out.write(reinterpret_cast<const char*>(p.var.value().data()),
-              static_cast<std::streamsize>(rows * cols * sizeof(float)));
+    out.PutString(p.name);
+    PutTensor(p.var.value(), &out);
   }
-  return AtomicWriteFileWithCrc(path, out.str());
+  return AtomicWriteFileWithCrc(path, image);
 }
 
 Status LoadParameters(const std::string& path,
@@ -45,35 +54,18 @@ Status LoadParameters(const std::string& path,
     }
     return raw.status();
   }
-  std::istringstream in(std::move(raw).value());
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, kMagic, 4) != 0) {
-    return Status::Corruption("bad checkpoint magic: " + path);
-  }
-  uint32_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
+  ByteReader in(raw.value());
+  in.ExpectMagic(kMagic);
+  const uint32_t count = in.Get<uint32_t>();
   std::unordered_map<std::string, Tensor> loaded;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t name_len = 0;
-    in.read(reinterpret_cast<char*>(&name_len), sizeof(name_len));
-    if (!in || name_len > (1u << 20)) {
-      return Status::Corruption("bad name length in " + path);
+  for (uint32_t i = 0; i < count && in.ok(); ++i) {
+    std::string name;
+    Tensor t;
+    if (in.GetString(&name) && GetTensor(&in, &t)) {
+      loaded.emplace(std::move(name), std::move(t));
     }
-    std::string name(name_len, '\0');
-    in.read(name.data(), name_len);
-    int64_t rows = 0, cols = 0;
-    in.read(reinterpret_cast<char*>(&rows), sizeof(rows));
-    in.read(reinterpret_cast<char*>(&cols), sizeof(cols));
-    if (!in || rows < 0 || cols < 0) {
-      return Status::Corruption("bad shape in " + path);
-    }
-    Tensor t(rows, cols);
-    in.read(reinterpret_cast<char*>(t.data()),
-            static_cast<std::streamsize>(rows * cols * sizeof(float)));
-    if (!in) return Status::Corruption("truncated payload in " + path);
-    loaded.emplace(std::move(name), std::move(t));
   }
+  XF_RETURN_IF_ERROR(in.status("parameter checkpoint " + path));
   for (auto& p : *params) {
     auto it = loaded.find(p.name);
     if (it == loaded.end()) {

@@ -4,10 +4,19 @@
 #include <string>
 #include <vector>
 
+#include "xfraud/common/bytes.h"
 #include "xfraud/common/status.h"
 #include "xfraud/nn/modules.h"
 
 namespace xfraud::nn {
+
+/// The tensor record every checkpoint format shares:
+///   {i64 rows, i64 cols, rows*cols f32 payload (row-major)}.
+void PutTensor(const Tensor& t, ByteWriter* out);
+
+/// Reads one tensor record. The shape is checked against the bytes that
+/// remain before anything is allocated; failures stick in `in`.
+bool GetTensor(ByteReader* in, Tensor* t);
 
 /// Writes named parameters to a simple binary checkpoint:
 ///   magic "XFCK", u32 count, then per entry

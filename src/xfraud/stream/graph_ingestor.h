@@ -130,7 +130,8 @@ class GraphIngestor {
   // flush issues KV ops in a replayable sequence.
   std::vector<PendingNode> new_nodes_;                    // ascending id
   std::vector<std::pair<int32_t, std::vector<float>>> new_features_;
-  std::map<int32_t, std::vector<std::pair<int32_t, uint8_t>>> pending_adj_;
+  std::map<int32_t, std::vector<std::pair<int32_t, graph::EdgeType>>>
+      pending_adj_;
   std::vector<std::pair<std::string, int32_t>> new_id_keys_;  // "t"/"e" rows
   size_t buffered_txns_ = 0;
 

@@ -1,60 +1,48 @@
 #include "xfraud/train/checkpoint.h"
 
-#include <cstring>
-#include <sstream>
-
 #include "xfraud/common/atomic_file.h"
+#include "xfraud/nn/serialize.h"
 
 namespace xfraud::train {
 
 namespace {
 
-constexpr char kMagic[4] = {'X', 'F', 'T', 'C'};
+constexpr std::string_view kMagic = "XFTC";
 constexpr uint32_t kVersion = 1;
 
-template <typename T>
-void WritePod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-void WriteString(std::ostream& out, const std::string& s) {
-  WritePod(out, static_cast<uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-bool ReadString(std::istream& in, std::string* s) {
-  uint32_t len = 0;
-  if (!ReadPod(in, &len) || len > (1u << 20)) return false;
-  s->resize(len);
-  in.read(s->data(), len);
-  return static_cast<bool>(in);
-}
-
-void WriteTensor(std::ostream& out, const nn::Tensor& t) {
-  WritePod(out, t.rows());
-  WritePod(out, t.cols());
-  out.write(reinterpret_cast<const char*>(t.data()),
-            static_cast<std::streamsize>(t.size() * sizeof(float)));
-}
-
-bool ReadTensor(std::istream& in, nn::Tensor* t) {
-  int64_t rows = 0, cols = 0;
-  if (!ReadPod(in, &rows) || !ReadPod(in, &cols) || rows < 0 || cols < 0) {
-    return false;
-  }
-  *t = nn::Tensor(rows, cols);
-  in.read(reinterpret_cast<char*>(t->data()),
-          static_cast<std::streamsize>(rows * cols * sizeof(float)));
-  return static_cast<bool>(in);
-}
+// One history entry: i32 epoch, then five f64 fields.
+constexpr size_t kEpochStatsBytes = 4 + 5 * 8;
+// The smallest parameter entry: an empty name and three empty tensors.
+constexpr size_t kMinParameterEntryBytes = 4 + 3 * 16;
 
 }  // namespace
+
+void WriteRngState(const Rng::State& state, ByteWriter* out) {
+  for (uint64_t s : state.s) out->Put(s);
+  out->Put(static_cast<uint8_t>(state.has_cached_gaussian ? 1 : 0));
+  out->Put(state.cached_gaussian);
+}
+
+bool ReadRngState(ByteReader* in, Rng::State* state) {
+  for (uint64_t& s : state->s) in->Get(&s);
+  state->has_cached_gaussian = in->Get<uint8_t>() != 0;
+  return in->Get(&state->cached_gaussian);
+}
+
+void WriteParameterEntry(std::string_view name, const nn::Tensor& value,
+                         const nn::Tensor& m, const nn::Tensor& v,
+                         ByteWriter* out) {
+  out->PutString(name);
+  nn::PutTensor(value, out);
+  nn::PutTensor(m, out);
+  nn::PutTensor(v, out);
+}
+
+bool ReadParameterEntry(ByteReader* in, std::string* name, nn::Tensor* value,
+                        nn::Tensor* m, nn::Tensor* v) {
+  return in->GetString(name) && nn::GetTensor(in, value) &&
+         nn::GetTensor(in, m) && nn::GetTensor(in, v);
+}
 
 std::string TrainerCheckpointPath(const std::string& dir) {
   return dir + "/trainer.ckpt";
@@ -62,123 +50,84 @@ std::string TrainerCheckpointPath(const std::string& dir) {
 
 Status SaveTrainerCheckpoint(const TrainerCheckpoint& ckpt,
                              const std::string& path) {
-  std::ostringstream out;
-  out.write(kMagic, 4);
-  WritePod(out, kVersion);
-  WritePod(out, ckpt.seed);
-  WritePod(out, ckpt.next_epoch);
-  WritePod(out, ckpt.stale);
-  WritePod(out, ckpt.best_epoch);
-  WritePod(out, ckpt.best_val_auc);
-  for (uint64_t s : ckpt.rng.s) WritePod(out, s);
-  WritePod(out, static_cast<uint8_t>(ckpt.rng.has_cached_gaussian ? 1 : 0));
-  WritePod(out, ckpt.rng.cached_gaussian);
-
-  WritePod(out, static_cast<int64_t>(ckpt.train_node_order.size()));
-  out.write(reinterpret_cast<const char*>(ckpt.train_node_order.data()),
-            static_cast<std::streamsize>(ckpt.train_node_order.size() *
-                                         sizeof(int32_t)));
-
-  WritePod(out, static_cast<int64_t>(ckpt.history.size()));
-  for (const EpochStats& e : ckpt.history) {
-    WritePod(out, e.epoch);
-    WritePod(out, e.train_loss);
-    WritePod(out, e.val_auc);
-    WritePod(out, e.seconds);
-    WritePod(out, e.sample_seconds);
-    WritePod(out, e.compute_seconds);
-  }
-
   if (ckpt.opt_m.size() != ckpt.params.size() ||
       ckpt.opt_v.size() != ckpt.params.size()) {
     return Status::InvalidArgument(
         "checkpoint optimizer state count != parameter count");
   }
-  WritePod(out, static_cast<int64_t>(ckpt.params.size()));
-  for (size_t i = 0; i < ckpt.params.size(); ++i) {
-    WriteString(out, ckpt.params[i].first);
-    WriteTensor(out, ckpt.params[i].second);
-    WriteTensor(out, ckpt.opt_m[i]);
-    WriteTensor(out, ckpt.opt_v[i]);
+  std::string image;
+  ByteWriter out(&image);
+  out.PutBytes(kMagic);
+  out.Put(kVersion);
+  out.Put(ckpt.seed);
+  out.Put<int32_t>(ckpt.next_epoch);
+  out.Put<int32_t>(ckpt.stale);
+  out.Put<int32_t>(ckpt.best_epoch);
+  out.Put(ckpt.best_val_auc);
+  WriteRngState(ckpt.rng, &out);
+
+  out.PutVector(ckpt.train_node_order);
+
+  out.Put(static_cast<int64_t>(ckpt.history.size()));
+  for (const EpochStats& e : ckpt.history) {
+    out.Put<int32_t>(e.epoch);
+    out.Put(e.train_loss);
+    out.Put(e.val_auc);
+    out.Put(e.seconds);
+    out.Put(e.sample_seconds);
+    out.Put(e.compute_seconds);
   }
-  WritePod(out, ckpt.opt_step);
-  return AtomicWriteFileWithCrc(path, out.str());
+
+  out.Put(static_cast<int64_t>(ckpt.params.size()));
+  for (size_t i = 0; i < ckpt.params.size(); ++i) {
+    WriteParameterEntry(ckpt.params[i].first, ckpt.params[i].second,
+                        ckpt.opt_m[i], ckpt.opt_v[i], &out);
+  }
+  out.Put(ckpt.opt_step);
+  return AtomicWriteFileWithCrc(path, image);
 }
 
 Result<TrainerCheckpoint> LoadTrainerCheckpoint(const std::string& path) {
   Result<std::string> raw = ReadFileVerifyCrc(path);
   if (!raw.ok()) return raw.status();
-  std::istringstream in(std::move(raw).value());
+  ByteReader in(raw.value());
+  in.ExpectMagic(kMagic);
+  if (in.Get<uint32_t>() != kVersion) in.Fail("unsupported version");
 
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, kMagic, 4) != 0) {
-    return Status::Corruption("bad trainer checkpoint magic: " + path);
-  }
-  uint32_t version = 0;
-  if (!ReadPod(in, &version) || version != kVersion) {
-    return Status::Corruption("unsupported trainer checkpoint version in " +
-                              path);
-  }
   TrainerCheckpoint ckpt;
-  uint8_t has_gaussian = 0;
-  if (!ReadPod(in, &ckpt.seed) || !ReadPod(in, &ckpt.next_epoch) ||
-      !ReadPod(in, &ckpt.stale) || !ReadPod(in, &ckpt.best_epoch) ||
-      !ReadPod(in, &ckpt.best_val_auc)) {
-    return Status::Corruption("truncated trainer checkpoint header: " + path);
-  }
-  for (uint64_t& s : ckpt.rng.s) {
-    if (!ReadPod(in, &s)) {
-      return Status::Corruption("truncated rng state in " + path);
+  in.Get(&ckpt.seed);
+  ckpt.next_epoch = in.Get<int32_t>();
+  ckpt.stale = in.Get<int32_t>();
+  ckpt.best_epoch = in.Get<int32_t>();
+  in.Get(&ckpt.best_val_auc);
+  ReadRngState(&in, &ckpt.rng);
+
+  in.GetVector(&ckpt.train_node_order);
+  size_t count = 0;
+  if (in.GetCount(kEpochStatsBytes, &count)) {
+    ckpt.history.resize(count);
+    for (EpochStats& e : ckpt.history) {
+      e.epoch = in.Get<int32_t>();
+      in.Get(&e.train_loss);
+      in.Get(&e.val_auc);
+      in.Get(&e.seconds);
+      in.Get(&e.sample_seconds);
+      in.Get(&e.compute_seconds);
     }
   }
-  if (!ReadPod(in, &has_gaussian) ||
-      !ReadPod(in, &ckpt.rng.cached_gaussian)) {
-    return Status::Corruption("truncated rng state in " + path);
-  }
-  ckpt.rng.has_cached_gaussian = has_gaussian != 0;
-
-  int64_t node_count = 0;
-  if (!ReadPod(in, &node_count) || node_count < 0) {
-    return Status::Corruption("bad train-node count in " + path);
-  }
-  ckpt.train_node_order.resize(static_cast<size_t>(node_count));
-  in.read(reinterpret_cast<char*>(ckpt.train_node_order.data()),
-          static_cast<std::streamsize>(node_count * sizeof(int32_t)));
-  if (!in) {
-    return Status::Corruption("truncated train-node order in " + path);
-  }
-
-  int64_t history_count = 0;
-  if (!ReadPod(in, &history_count) || history_count < 0) {
-    return Status::Corruption("bad history count in " + path);
-  }
-  ckpt.history.resize(static_cast<size_t>(history_count));
-  for (EpochStats& e : ckpt.history) {
-    if (!ReadPod(in, &e.epoch) || !ReadPod(in, &e.train_loss) ||
-        !ReadPod(in, &e.val_auc) || !ReadPod(in, &e.seconds) ||
-        !ReadPod(in, &e.sample_seconds) || !ReadPod(in, &e.compute_seconds)) {
-      return Status::Corruption("truncated history in " + path);
+  if (in.GetCount(kMinParameterEntryBytes, &count)) {
+    ckpt.params.resize(count);
+    ckpt.opt_m.resize(count);
+    ckpt.opt_v.resize(count);
+    for (size_t i = 0; i < count && in.ok(); ++i) {
+      ReadParameterEntry(&in, &ckpt.params[i].first, &ckpt.params[i].second,
+                         &ckpt.opt_m[i], &ckpt.opt_v[i]);
     }
   }
-
-  int64_t param_count = 0;
-  if (!ReadPod(in, &param_count) || param_count < 0) {
-    return Status::Corruption("bad parameter count in " + path);
+  if (in.Get(&ckpt.opt_step) && ckpt.opt_step < 0) {
+    in.Fail("negative optimizer step count");
   }
-  ckpt.params.resize(static_cast<size_t>(param_count));
-  ckpt.opt_m.resize(static_cast<size_t>(param_count));
-  ckpt.opt_v.resize(static_cast<size_t>(param_count));
-  for (int64_t i = 0; i < param_count; ++i) {
-    if (!ReadString(in, &ckpt.params[i].first) ||
-        !ReadTensor(in, &ckpt.params[i].second) ||
-        !ReadTensor(in, &ckpt.opt_m[i]) || !ReadTensor(in, &ckpt.opt_v[i])) {
-      return Status::Corruption("truncated parameter block in " + path);
-    }
-  }
-  if (!ReadPod(in, &ckpt.opt_step) || ckpt.opt_step < 0) {
-    return Status::Corruption("bad optimizer step count in " + path);
-  }
+  XF_RETURN_IF_ERROR(in.status("trainer checkpoint " + path));
   return ckpt;
 }
 

@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "xfraud/common/bytes.h"
 #include "xfraud/common/rng.h"
 #include "xfraud/common/status.h"
 #include "xfraud/nn/tensor.h"
@@ -36,6 +38,21 @@ struct TrainerCheckpoint {
   std::vector<nn::Tensor> opt_v;
   int64_t opt_step = 0;
 };
+
+/// Blocks shared by the trainer checkpoint ("XFTC") and the DDP rank
+/// checkpoint ("XFDC", dist/worker.cc). Readers fail sticky in `in`.
+///
+/// RNG-state block: u64 s[4], u8 has_cached_gaussian, f64 cached_gaussian.
+void WriteRngState(const Rng::State& state, ByteWriter* out);
+bool ReadRngState(ByteReader* in, Rng::State* state);
+
+/// Parameter block: i64 count, then per parameter {u32 name length, name,
+/// value, AdamW m, AdamW v}, each tensor an nn/serialize.h tensor record.
+void WriteParameterEntry(std::string_view name, const nn::Tensor& value,
+                         const nn::Tensor& m, const nn::Tensor& v,
+                         ByteWriter* out);
+bool ReadParameterEntry(ByteReader* in, std::string* name, nn::Tensor* value,
+                        nn::Tensor* m, nn::Tensor* v);
 
 /// Canonical checkpoint file inside a --checkpoint-dir.
 std::string TrainerCheckpointPath(const std::string& dir);

@@ -178,10 +178,8 @@ TEST(SubgraphTest, FanoutCapsNeighbourExpansion) {
   // A star: one address shared by 10 transactions.
   GraphBuilder b;
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(b.AddTransaction(MakeRecord("t" + std::to_string(i),
-                                            "b" + std::to_string(i),
-                                            "e" + std::to_string(i),
-                                            "p" + std::to_string(i),
+    const std::string n = std::to_string(i);
+    ASSERT_TRUE(b.AddTransaction(MakeRecord("t" + n, "b" + n, "e" + n, "p" + n,
                                             "shared_addr", 0))
                     .ok());
   }

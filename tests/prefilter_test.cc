@@ -8,17 +8,18 @@ namespace {
 
 using graph::TransactionRecord;
 
-TransactionRecord Record(const std::string& id, int8_t label,
+// Transaction "t<index>"; every record shares the same entities.
+TransactionRecord Record(int index, int8_t label,
                          std::vector<float> features) {
-  TransactionRecord r;
-  r.txn_id = id;
-  r.buyer_id = "b";
-  r.email = "e";
-  r.payment_token = "p";
-  r.shipping_address = "a";
-  r.label = label;
-  r.features = std::move(features);
-  return r;
+  std::string id = "t";
+  id += std::to_string(index);
+  return {.txn_id = std::move(id),
+          .buyer_id = "b",
+          .email = "e",
+          .payment_token = "p",
+          .shipping_address = "a",
+          .features = std::move(features),
+          .label = label};
 }
 
 TEST(RuleTest, FiresOnThreshold) {
@@ -49,9 +50,9 @@ TEST(RuleFilterTest, FindsSeparatingRule) {
   std::vector<TransactionRecord> records;
   for (int i = 0; i < 200; ++i) {
     bool fraud = i % 20 == 0;
-    records.push_back(Record("t" + std::to_string(i),
-                             fraud ? graph::kLabelFraud : graph::kLabelBenign,
-                             {fraud ? 1.0f : 0.0f, 0.5f}));
+    records.push_back(
+        Record(i, fraud ? graph::kLabelFraud : graph::kLabelBenign,
+               {fraud ? 1.0f : 0.0f, 0.5f}));
   }
   RuleFilter filter = RuleFilter::Fit(records, {});
   ASSERT_FALSE(filter.rules().empty());
@@ -68,8 +69,7 @@ TEST(RuleFilterTest, FindsSeparatingRule) {
 TEST(RuleFilterTest, NoFraudMeansNoRules) {
   std::vector<TransactionRecord> records;
   for (int i = 0; i < 50; ++i) {
-    records.push_back(Record("t" + std::to_string(i), graph::kLabelBenign,
-                             {static_cast<float>(i)}));
+    records.push_back(Record(i, graph::kLabelBenign, {static_cast<float>(i)}));
   }
   RuleFilter filter = RuleFilter::Fit(records, {});
   EXPECT_TRUE(filter.rules().empty());
@@ -86,9 +86,8 @@ TEST(RuleFilterTest, RespectsMaxRules) {
     if (fraud) {
       for (int d = 0; d < 3; ++d) f[d] += 1.0f;
     }
-    records.push_back(Record("t" + std::to_string(i),
-                             fraud ? graph::kLabelFraud : graph::kLabelBenign,
-                             std::move(f)));
+    records.push_back(Record(
+        i, fraud ? graph::kLabelFraud : graph::kLabelBenign, std::move(f)));
   }
   RuleFilter::Options options;
   options.max_rules = 2;
@@ -133,10 +132,9 @@ TEST(PipelineTest, StagesMonotoneAndLabelPreserving) {
 TEST(PipelineTest, KeepFractionOneKeepsEverything) {
   std::vector<TransactionRecord> stream;
   for (int i = 0; i < 100; ++i) {
-    stream.push_back(Record("t" + std::to_string(i),
-                            i % 10 == 0 ? graph::kLabelFraud
-                                        : graph::kLabelBenign,
-                            {i % 10 == 0 ? 1.0f : 0.0f}));
+    stream.push_back(Record(
+        i, i % 10 == 0 ? graph::kLabelFraud : graph::kLabelBenign,
+        {i % 10 == 0 ? 1.0f : 0.0f}));
   }
   RuleFilter empty_filter = RuleFilter::Fit({}, {});  // no rules: keep none
   // An empty filter keeps nothing; use a fitted one instead.

@@ -44,7 +44,8 @@ class KvContractTest : public ::testing::TestWithParam<std::string> {
 TEST_P(KvContractTest, OverwriteKeepsLatestValue) {
   auto store = Make();
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(store->Put("k", "v" + std::to_string(i)).ok());
+    const std::string n = std::to_string(i);
+    ASSERT_TRUE(store->Put("k", "v" + n).ok());
   }
   std::string value;
   ASSERT_TRUE(store->Get("k", &value).ok());

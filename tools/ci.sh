@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entrypoint. Modes:
 #
-#   tools/ci.sh                      # plain: hygiene + configure + build + test
+#   tools/ci.sh                      # plain: hygiene + configure + build
+#                                    # (any compiler warning fails) + test
 #   tools/ci.sh --mode=plain
 #   tools/ci.sh --mode=lint          # hygiene + xfraud_lint + xfraud_analyze
 #                                    # + clang-tidy (no ctest)
@@ -40,7 +41,7 @@ for arg in "$@"; do
   case "${arg}" in
     --mode=*) MODE="${arg#--mode=}" ;;
     --help|-h)
-      sed -n '2,12p' "$0"
+      sed -n '2,13p' "$0"
       exit 0
       ;;
     *) BUILD_DIR="${arg}" ;;
@@ -143,7 +144,20 @@ fi
 cmake -B "${BUILD_DIR}" -S . "${CONFIG_ARGS[@]}"
 
 echo "== build =="
-cmake --build "${BUILD_DIR}" -j "$(nproc)"
+if [[ "${MODE}" == "plain" ]]; then
+  # The plain build is the warning wall (DESIGN.md §9.3): any compiler
+  # warning fails CI. Only files the build recompiles can warn, so run it
+  # on a fresh tree to check the whole source.
+  BUILD_LOG="$(mktemp /tmp/xfraud-ci-build.XXXXXX)"
+  trap 'rm -f "${BUILD_LOG}"' EXIT
+  cmake --build "${BUILD_DIR}" -j "$(nproc)" 2>&1 | tee "${BUILD_LOG}"
+  if grep -q "warning:" "${BUILD_LOG}"; then
+    echo "ci.sh: the build printed compiler warnings (see above)" >&2
+    exit 1
+  fi
+else
+  cmake --build "${BUILD_DIR}" -j "$(nproc)"
+fi
 
 # Multi-process leg: real forked worker processes, real SIGKILLs, socket
 # rendezvous. Everything runs under hard timeouts (ctest --timeout plus the

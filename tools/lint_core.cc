@@ -90,7 +90,9 @@ SplitSource SplitCodeComments(const std::string& src) {
           if (IsRawStringQuote(src, i)) {
             size_t open = RawDelimiterOpen(src, i);
             if (open != std::string::npos) {
-              raw_delim = ")" + src.substr(i + 1, open - (i + 1)) + "\"";
+              raw_delim = ")";
+              raw_delim += src.substr(i + 1, open - (i + 1));
+              raw_delim += '"';
               out.code[i] = '"';
               state = State::kRaw;
               i = open;  // literal contents blanked from here on

@@ -198,7 +198,7 @@ Result<Flags> ParseFlags(int argc, char** argv, int first) {
     } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
       flags.values[arg.substr(2)] = argv[++i];
     } else {
-      flags.values[arg.substr(2)] = "1";
+      flags.values[arg.substr(2)] = std::string("1");
     }
   }
   return flags;
