@@ -1,21 +1,27 @@
 // Microbenchmarks of the autograd substrate (google-benchmark): the ops on
 // the detector's critical path, forward and forward+backward, plus the
 // before/after pairs that gate each nn::kernels fusion (blocked vs naive
-// GEMM, fused vs composed linear and attention aggregate). Useful for
-// tracking regressions in the engine that every experiment sits on.
+// GEMM, fused vs composed linear and attention aggregate) and the taped vs
+// tape-free detector forward (nn::NoGradScope). Useful for tracking
+// regressions in the engine that every experiment sits on.
 //
 // XFRAUD_KERNEL_THREADS sets the kernel worker count (default 1; results
 // are bit-identical at any value, only the timings move). The GEMM benches
 // report wall-clock rates (UseRealTime): with worker threads the main
 // thread's CPU time would leave out the workers' share.
 
+#include <algorithm>
 #include <cstdlib>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "xfraud/core/detector.h"
+#include "xfraud/data/generator.h"
 #include "xfraud/nn/kernels.h"
 #include "xfraud/nn/modules.h"
 #include "xfraud/nn/ops.h"
+#include "xfraud/sample/sampler.h"
 
 namespace xfraud::nn {
 namespace {
@@ -287,6 +293,59 @@ void BM_LayerNormForward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rows * 64);
 }
 BENCHMARK(BM_LayerNormForward)->Arg(1024)->Arg(8192);
+
+/// One detector+ inference batch on sim-small: 640 target transactions
+/// with their 2-hop SageSampler neighbourhood (fanout 12), and a detector
+/// at the default config. Built once, on first use.
+struct DetectorBatch {
+  Rng rng{1};
+  data::SimDataset ds = data::TransactionGenerator::Make(
+      data::TransactionGenerator::SimSmall(), "sim-small");
+  core::XFraudDetector model{
+      core::DetectorConfig{.feature_dim = ds.graph.feature_dim()}, &rng};
+  sample::MiniBatch batch;
+
+  DetectorBatch() {
+    std::vector<int32_t> seeds(
+        ds.test_nodes.begin(),
+        ds.test_nodes.begin() + std::min<size_t>(640, ds.test_nodes.size()));
+    batch = sample::SageSampler(2, 12).SampleBatch(ds.graph, seeds, &rng);
+  }
+
+  static const DetectorBatch& Get() {
+    static const DetectorBatch instance;
+    return instance;
+  }
+};
+
+/// Inference forward with the tape kept: a constant features_override is
+/// not pure inference, so every op records parents and a closure.
+void BM_DetectorForwardTape(benchmark::State& state) {
+  const DetectorBatch& b = DetectorBatch::Get();
+  Var features = Constant(b.batch.features);
+  core::ForwardOptions opts;
+  opts.features_override = &features;
+  for (auto _ : state) {
+    Var logits = b.model.Forward(b.batch, opts);
+    benchmark::DoNotOptimize(logits.value().data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(b.batch.target_locals.size()));
+}
+BENCHMARK(BM_DetectorForwardTape)->UseRealTime();
+
+/// The same forward as pure inference: GnnModel::Forward opens a
+/// NoGradScope, so no op keeps parents, a closure or an index copy.
+void BM_DetectorForwardNoGrad(benchmark::State& state) {
+  const DetectorBatch& b = DetectorBatch::Get();
+  for (auto _ : state) {
+    Var logits = b.model.Forward(b.batch, core::ForwardOptions{});
+    benchmark::DoNotOptimize(logits.value().data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(b.batch.target_locals.size()));
+}
+BENCHMARK(BM_DetectorForwardNoGrad)->UseRealTime();
 
 }  // namespace
 }  // namespace xfraud::nn

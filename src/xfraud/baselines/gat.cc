@@ -71,8 +71,8 @@ Var GatModel::ForwardLayer(const Layer& layer, const Var& h,
   return nn::Relu(layer.norm.Forward(out));
 }
 
-Var GatModel::Forward(const sample::MiniBatch& batch,
-                      const core::ForwardOptions& options) const {
+Var GatModel::ForwardImpl(const sample::MiniBatch& batch,
+                          const core::ForwardOptions& options) const {
   Var features = options.features_override != nullptr
                      ? *options.features_override
                      : nn::Constant(batch.features);

@@ -30,13 +30,14 @@ class GatModel : public core::GnnModel {
  public:
   GatModel(GatConfig config, xfraud::Rng* rng);
 
-  nn::Var Forward(const sample::MiniBatch& batch,
-                  const core::ForwardOptions& options) const override;
-
   void CollectParameters(const std::string& prefix,
                          std::vector<nn::NamedParameter>* out) const override;
 
   std::string name() const override { return "gat"; }
+
+ protected:
+  nn::Var ForwardImpl(const sample::MiniBatch& batch,
+                      const core::ForwardOptions& options) const override;
 
  private:
   struct Layer {

@@ -62,8 +62,8 @@ Var GemModel::ForwardLayer(const Layer& layer, const Var& h,
   return nn::Dropout(out, config_.dropout, options.training, options.rng);
 }
 
-Var GemModel::Forward(const sample::MiniBatch& batch,
-                      const core::ForwardOptions& options) const {
+Var GemModel::ForwardImpl(const sample::MiniBatch& batch,
+                          const core::ForwardOptions& options) const {
   Var features = options.features_override != nullptr
                      ? *options.features_override
                      : nn::Constant(batch.features);

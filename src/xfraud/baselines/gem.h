@@ -35,13 +35,14 @@ class GemModel : public core::GnnModel {
  public:
   GemModel(GemConfig config, xfraud::Rng* rng);
 
-  nn::Var Forward(const sample::MiniBatch& batch,
-                  const core::ForwardOptions& options) const override;
-
   void CollectParameters(const std::string& prefix,
                          std::vector<nn::NamedParameter>* out) const override;
 
   std::string name() const override { return "gem"; }
+
+ protected:
+  nn::Var ForwardImpl(const sample::MiniBatch& batch,
+                      const core::ForwardOptions& options) const override;
 
  private:
   struct Layer {

@@ -40,8 +40,8 @@ Var XFraudDetector::Encode(const sample::MiniBatch& batch,
   return h;
 }
 
-Var XFraudDetector::Forward(const sample::MiniBatch& batch,
-                            const ForwardOptions& options) const {
+Var XFraudDetector::ForwardImpl(const sample::MiniBatch& batch,
+                                const ForwardOptions& options) const {
   XF_CHECK(!batch.target_locals.empty());
   Var h = Encode(batch, options);
 

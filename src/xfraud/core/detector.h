@@ -36,9 +36,6 @@ class XFraudDetector : public GnnModel {
  public:
   XFraudDetector(DetectorConfig config, xfraud::Rng* rng);
 
-  nn::Var Forward(const sample::MiniBatch& batch,
-                  const ForwardOptions& options) const override;
-
   /// Node representations H^L [N, hidden] (used by tests/analysis).
   nn::Var Encode(const sample::MiniBatch& batch,
                  const ForwardOptions& options) const;
@@ -49,6 +46,10 @@ class XFraudDetector : public GnnModel {
   std::string name() const override { return "xfraud_detector"; }
 
   const DetectorConfig& config() const { return config_; }
+
+ protected:
+  nn::Var ForwardImpl(const sample::MiniBatch& batch,
+                      const ForwardOptions& options) const override;
 
  private:
   DetectorConfig config_;

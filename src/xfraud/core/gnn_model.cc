@@ -4,6 +4,16 @@
 
 namespace xfraud::core {
 
+nn::Var GnnModel::Forward(const sample::MiniBatch& batch,
+                          const ForwardOptions& options) const {
+  if (options.training || options.edge_mask != nullptr ||
+      options.features_override != nullptr) {
+    return ForwardImpl(batch, options);
+  }
+  nn::NoGradScope no_grad;
+  return ForwardImpl(batch, options);
+}
+
 nn::Var ApplyTypedLinear(const std::vector<nn::Linear>& linears,
                          const nn::Var& x,
                          const std::vector<int32_t>& types) {

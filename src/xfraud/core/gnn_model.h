@@ -12,7 +12,8 @@ namespace xfraud::core {
 
 /// Per-forward-pass options shared by the detector and the baselines.
 struct ForwardOptions {
-  /// Enables dropout and tape construction for parameters.
+  /// Enables dropout. A call with training off and neither mask hook set is
+  /// pure inference, and GnnModel::Forward runs it without a tape.
   bool training = false;
   /// RNG for dropout; required when training.
   xfraud::Rng* rng = nullptr;
@@ -33,10 +34,19 @@ class GnnModel : public nn::Module {
  public:
   ~GnnModel() override = default;
 
-  virtual nn::Var Forward(const sample::MiniBatch& batch,
-                          const ForwardOptions& options) const = 0;
+  /// Runs ForwardImpl. A pure-inference call (!training, no edge_mask, no
+  /// features_override) runs under an nn::NoGradScope: the logits are
+  /// bit-identical but carry no tape, so they cannot be Backward()'s root.
+  /// Training steps and the explainer's masked passes keep the tape.
+  nn::Var Forward(const sample::MiniBatch& batch,
+                  const ForwardOptions& options) const;
 
   virtual std::string name() const = 0;
+
+ protected:
+  /// The model's forward pass; only Forward calls it.
+  virtual nn::Var ForwardImpl(const sample::MiniBatch& batch,
+                              const ForwardOptions& options) const = 0;
 };
 
 /// Applies per-node-type linear maps: rows of `x` whose type (per `types`)

@@ -56,6 +56,13 @@ Explanation GnnExplainer::Explain(const sample::MiniBatch& batch) {
                       nn::AdamWOptions{.lr = options_.lr, .weight_decay = 0});
   std::vector<int> target = {predicted};
 
+  // The detector stays frozen: the scope keeps its parameters off the tape,
+  // so no closure computes a parameter gradient and the shared model's grad
+  // buffers and requires_grad flags stay untouched.
+  std::vector<Var> parameters;
+  for (const auto& p : model_->Parameters()) parameters.push_back(p.var);
+  nn::FreezeScope frozen(parameters);
+
   double final_loss = 0.0;
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
     Var edge_mask = nn::Sigmoid(edge_params);

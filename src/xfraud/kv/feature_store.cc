@@ -182,9 +182,12 @@ Result<graph::MiniBatch> FeatureStore::LoadBatchImpl(
     frontier = std::move(next);
   }
 
-  // Induce edges and fill tensors via KV reads.
-  batch.features = nn::Tensor(static_cast<int64_t>(sub.nodes.size()),
-                              dim.value());
+  // Induce edges and fill tensors via KV reads. The feature block is sized
+  // only once a feature row confirms the metadata's dim, so a lying "m"
+  // record cannot size the allocation.
+  const auto num_nodes = static_cast<int64_t>(sub.nodes.size());
+  bool features_sized = false;
+  bool width_mismatch = false;
   batch.node_types.resize(sub.nodes.size());
   for (size_t local = 0; local < sub.nodes.size(); ++local) {
     int32_t global = sub.nodes[local];
@@ -205,8 +208,13 @@ Result<graph::MiniBatch> FeatureStore::LoadBatchImpl(
     Status fs = ReadFeatures(global, &feat, epoch);
     if (fs.ok() && static_cast<int64_t>(feat.size()) != dim.value()) {
       fs = Status::Corruption("feature record width disagrees with metadata");
+      width_mismatch = true;
     }
     if (fs.ok()) {
+      if (!features_sized) {
+        batch.features = nn::Tensor(num_nodes, dim.value());
+        features_sized = true;
+      }
       std::copy(feat.begin(), feat.end(),
                 batch.features.Row(static_cast<int64_t>(local)));
     } else if (!fs.IsNotFound()) {
@@ -232,6 +240,15 @@ Result<graph::MiniBatch> FeatureStore::LoadBatchImpl(
       batch.edge_dst.push_back(static_cast<int32_t>(local));
       batch.edge_types.push_back(static_cast<int32_t>(etypes[i]));
     }
+  }
+  if (!features_sized) {
+    // Every width seen disagreed: the metadata is the likelier liar.
+    if (width_mismatch) {
+      return Status::Corruption("no feature record matches the metadata dim");
+    }
+    // No feature row was read (all absent or imputed): the metadata's
+    // unconfirmed dim is the only one there is.
+    batch.features = nn::Tensor(num_nodes, dim.value());
   }
 
   for (int32_t seed : seeds) {

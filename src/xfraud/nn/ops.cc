@@ -1,7 +1,10 @@
 #include "xfraud/nn/ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <functional>
+#include <initializer_list>
 #include <memory>
 
 #include "xfraud/common/logging.h"
@@ -12,18 +15,39 @@ namespace {
 
 using internal::VarImpl;
 
-/// Builds the result node; attaches parents/backward only when needed.
-Var MakeResult(Tensor value, std::vector<Var> inputs,
-               std::function<void(VarImpl*)> backward_fn) {
+/// An op's inputs, in the order its closure's InputTakesGrad(i) indexes.
+using Inputs = std::initializer_list<std::reference_wrapper<const Var>>;
+
+/// Which inputs of an op run now take a gradient (bit i for input i): none
+/// under a NoGradScope, and never an undefined, constant or frozen Var.
+uint32_t GradInputs(Inputs inputs) {
+  if (NoGradScope::Active()) return 0;
+  uint32_t bits = 0;
+  uint32_t bit = 1;
+  for (const Var& in : inputs) {
+    if (in.requires_grad() && !FreezeScope::Frozen(in)) bits |= bit;
+    bit <<= 1;
+  }
+  return bits;
+}
+
+/// Builds the result node. Only a node with a grad-taking input joins the
+/// tape: it keeps those inputs as parents and `backward` as its closure.
+/// Any other result is a constant, and `backward` is dropped unconverted.
+template <typename Backward>
+Var MakeResult(Tensor value, Inputs inputs, Backward&& backward) {
   auto impl = std::make_shared<VarImpl>();
   impl->value = std::move(value);
-  bool needs_grad = false;
-  for (const auto& in : inputs) needs_grad = needs_grad || in.requires_grad();
-  impl->requires_grad = needs_grad;
-  if (needs_grad) {
-    impl->parents.reserve(inputs.size());
-    for (const auto& in : inputs) impl->parents.push_back(in.impl());
-    impl->backward_fn = std::move(backward_fn);
+  const uint32_t grad_inputs = GradInputs(inputs);
+  if (grad_inputs != 0) {
+    impl->requires_grad = true;
+    impl->grad_inputs = grad_inputs;
+    impl->parents.reserve(static_cast<size_t>(std::popcount(grad_inputs)));
+    int i = 0;
+    for (const Var& in : inputs) {
+      if (impl->InputTakesGrad(i++)) impl->parents.push_back(in.impl());
+    }
+    impl->backward_fn = std::forward<Backward>(backward);
   }
   return Var::FromImpl(std::move(impl));
 }
@@ -40,7 +64,6 @@ Var UnaryElementwise(const Var& a, Fwd fwd, Dydx dydx) {
   return MakeResult(
       std::move(out), {a},
       [a_impl, dydx](VarImpl* self) {
-        if (!a_impl->requires_grad) return;
         Tensor& ga = a_impl->EnsureGrad();
         const float* xv = a_impl->value.data();
         const float* yv = self->value.data();
@@ -69,10 +92,10 @@ Var MatMul(const Var& a, const Var& b) {
       std::move(out), {a, b},
       [a_impl, b_impl](VarImpl* self) {
         const Tensor& g = self->grad;
-        if (a_impl->requires_grad) {
+        if (self->InputTakesGrad(0)) {
           kernels::GemmTransBAdd(g, b_impl->value, &a_impl->EnsureGrad());
         }
-        if (b_impl->requires_grad) {
+        if (self->InputTakesGrad(1)) {
           kernels::GemmTransAAdd(a_impl->value, g, &b_impl->EnsureGrad());
         }
       });
@@ -91,13 +114,11 @@ Var LinearBiasAct(const Var& x, const Var& w, const Var& bias,
   }
   Tensor out(xv.rows(), wv.cols());
   kernels::GemmBiasAct(xv, wv, bias_ptr, act, &out);
-  std::vector<Var> inputs = {x, w};
-  if (bias.defined()) inputs.push_back(bias);
   auto x_impl = x.impl();
   auto w_impl = w.impl();
   auto b_impl = bias.defined() ? bias.impl() : nullptr;
   return MakeResult(
-      std::move(out), std::move(inputs),
+      std::move(out), {x, w, bias},
       [x_impl, w_impl, b_impl, act](VarImpl* self) {
         // Pre-activation grad: ReLU gates on the output (y > 0 ⟺ pre > 0).
         const Tensor* dpre = &self->grad;
@@ -111,13 +132,13 @@ Var LinearBiasAct(const Var& x, const Var& w, const Var& bias,
           }
           dpre = &gated;
         }
-        if (x_impl->requires_grad) {
+        if (self->InputTakesGrad(0)) {
           kernels::GemmTransBAdd(*dpre, w_impl->value, &x_impl->EnsureGrad());
         }
-        if (w_impl->requires_grad) {
+        if (self->InputTakesGrad(1)) {
           kernels::GemmTransAAdd(x_impl->value, *dpre, &w_impl->EnsureGrad());
         }
-        if (b_impl != nullptr && b_impl->requires_grad) {
+        if (self->InputTakesGrad(2)) {
           kernels::ColSumAdd(*dpre, &b_impl->EnsureGrad());
         }
       });
@@ -130,8 +151,8 @@ Var Add(const Var& a, const Var& b) {
   auto a_impl = a.impl();
   auto b_impl = b.impl();
   return MakeResult(std::move(out), {a, b}, [a_impl, b_impl](VarImpl* self) {
-    if (a_impl->requires_grad) a_impl->EnsureGrad().AddInPlace(self->grad);
-    if (b_impl->requires_grad) b_impl->EnsureGrad().AddInPlace(self->grad);
+    if (self->InputTakesGrad(0)) a_impl->EnsureGrad().AddInPlace(self->grad);
+    if (self->InputTakesGrad(1)) b_impl->EnsureGrad().AddInPlace(self->grad);
   });
 }
 
@@ -150,8 +171,8 @@ Var AddRowBroadcast(const Var& a, const Var& bias) {
   auto b_impl = bias.impl();
   return MakeResult(std::move(out), {a, bias}, [a_impl,
                                                 b_impl](VarImpl* self) {
-    if (a_impl->requires_grad) a_impl->EnsureGrad().AddInPlace(self->grad);
-    if (b_impl->requires_grad) {
+    if (self->InputTakesGrad(0)) a_impl->EnsureGrad().AddInPlace(self->grad);
+    if (self->InputTakesGrad(1)) {
       Tensor& gb = b_impl->EnsureGrad();
       const Tensor& g = self->grad;
       for (int64_t r = 0; r < g.rows(); ++r) {
@@ -172,8 +193,8 @@ Var Sub(const Var& a, const Var& b) {
   auto a_impl = a.impl();
   auto b_impl = b.impl();
   return MakeResult(std::move(out), {a, b}, [a_impl, b_impl](VarImpl* self) {
-    if (a_impl->requires_grad) a_impl->EnsureGrad().AddInPlace(self->grad);
-    if (b_impl->requires_grad) {
+    if (self->InputTakesGrad(0)) a_impl->EnsureGrad().AddInPlace(self->grad);
+    if (self->InputTakesGrad(1)) {
       Tensor& gb = b_impl->EnsureGrad();
       const float* g = self->grad.data();
       float* gbp = gb.data();
@@ -193,12 +214,12 @@ Var Mul(const Var& a, const Var& b) {
   return MakeResult(std::move(out), {a, b}, [a_impl, b_impl](VarImpl* self) {
     const float* g = self->grad.data();
     int64_t n = self->grad.size();
-    if (a_impl->requires_grad) {
+    if (self->InputTakesGrad(0)) {
       float* ga = a_impl->EnsureGrad().data();
       const float* bvals = b_impl->value.data();
       for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * bvals[i];
     }
-    if (b_impl->requires_grad) {
+    if (self->InputTakesGrad(1)) {
       float* gb = b_impl->EnsureGrad().data();
       const float* avals = a_impl->value.data();
       for (int64_t i = 0; i < n; ++i) gb[i] += g[i] * avals[i];
@@ -263,7 +284,6 @@ Var Dropout(const Var& a, float p, bool training, xfraud::Rng* rng) {
   }
   auto a_impl = a.impl();
   return MakeResult(std::move(out), {a}, [a_impl, mask](VarImpl* self) {
-    if (!a_impl->requires_grad) return;
     float* ga = a_impl->EnsureGrad().data();
     const float* g = self->grad.data();
     for (int64_t i = 0; i < self->grad.size(); ++i) {
@@ -290,7 +310,6 @@ Var RowSoftmax(const Var& a) {
   }
   auto a_impl = a.impl();
   return MakeResult(std::move(out), {a}, [a_impl](VarImpl* self) {
-    if (!a_impl->requires_grad) return;
     Tensor& ga = a_impl->EnsureGrad();
     const Tensor& y = self->value;
     const Tensor& g = self->grad;
@@ -353,7 +372,6 @@ Var CrossEntropy(const Var& logits, const std::vector<int>& labels,
   return MakeResult(
       std::move(out), {logits},
       [l_impl, probs, labels_copy, weights, inv_total](VarImpl* self) {
-        if (!l_impl->requires_grad) return;
         float gy = self->grad.At(0, 0);
         Tensor& gl = l_impl->EnsureGrad();
         int64_t nrows = probs->rows();
@@ -385,7 +403,7 @@ Var ConcatCols(const Var& a, const Var& b) {
   return MakeResult(std::move(out), {a, b},
                     [a_impl, b_impl, ac, bc](VarImpl* self) {
                       const Tensor& g = self->grad;
-                      if (a_impl->requires_grad) {
+                      if (self->InputTakesGrad(0)) {
                         Tensor& ga = a_impl->EnsureGrad();
                         for (int64_t r = 0; r < g.rows(); ++r) {
                           const float* grow = g.Row(r);
@@ -395,7 +413,7 @@ Var ConcatCols(const Var& a, const Var& b) {
                           }
                         }
                       }
-                      if (b_impl->requires_grad) {
+                      if (self->InputTakesGrad(1)) {
                         Tensor& gb = b_impl->EnsureGrad();
                         for (int64_t r = 0; r < g.rows(); ++r) {
                           const float* grow = g.Row(r);
@@ -418,7 +436,6 @@ Var SliceCols(const Var& a, int64_t start, int64_t len) {
   }
   auto a_impl = a.impl();
   return MakeResult(std::move(out), {a}, [a_impl, start, len](VarImpl* self) {
-    if (!a_impl->requires_grad) return;
     Tensor& ga = a_impl->EnsureGrad();
     const Tensor& g = self->grad;
     for (int64_t r = 0; r < g.rows(); ++r) {
@@ -433,10 +450,10 @@ Var IndexRows(const Var& a, const std::vector<int32_t>& indices) {
   const Tensor& av = a.value();
   Tensor out(static_cast<int64_t>(indices.size()), av.cols());
   kernels::GatherRows(av, indices, &out);
+  if (GradInputs({a}) == 0) return Constant(std::move(out));  // No idx copy.
   auto a_impl = a.impl();
   auto idx = std::make_shared<std::vector<int32_t>>(indices);
   return MakeResult(std::move(out), {a}, [a_impl, idx](VarImpl* self) {
-    if (!a_impl->requires_grad) return;
     // Scatter-add by source row: each source row's contributions accumulate
     // in ascending gather position (serial stream or one worker per group).
     kernels::ScatterAddRowsKernel(self->grad, *idx, &a_impl->EnsureGrad());
@@ -449,10 +466,10 @@ Var ScatterAddRows(const Var& a, const std::vector<int32_t>& index,
   XF_CHECK_EQ(static_cast<size_t>(av.rows()), index.size());
   Tensor out(num_rows, av.cols());
   kernels::ScatterAddRowsKernel(av, index, &out);
+  if (GradInputs({a}) == 0) return Constant(std::move(out));  // No idx copy.
   auto a_impl = a.impl();
   auto idx = std::make_shared<std::vector<int32_t>>(index);
   return MakeResult(std::move(out), {a}, [a_impl, idx](VarImpl* self) {
-    if (!a_impl->requires_grad) return;
     kernels::GatherAddRows(self->grad, *idx, &a_impl->EnsureGrad());
   });
 }
@@ -488,11 +505,11 @@ Var SegmentSoftmax(const Var& a, const std::vector<int32_t>& segments,
       out.At(e, c) /= seg_sum.At(s, c);
     }
   }
+  if (GradInputs({a}) == 0) return Constant(std::move(out));  // No seg copy.
   auto a_impl = a.impl();
   auto seg = std::make_shared<std::vector<int32_t>>(segments);
   return MakeResult(
       std::move(out), {a}, [a_impl, seg, num_segments](VarImpl* self) {
-        if (!a_impl->requires_grad) return;
         const Tensor& y = self->value;
         const Tensor& g = self->grad;
         int64_t width = y.cols();
@@ -529,7 +546,7 @@ Var MulColBroadcast(const Var& a, const Var& col) {
   auto c_impl = col.impl();
   return MakeResult(std::move(out), {a, col}, [a_impl, c_impl](VarImpl* self) {
     const Tensor& g = self->grad;
-    if (a_impl->requires_grad) {
+    if (self->InputTakesGrad(0)) {
       Tensor& ga = a_impl->EnsureGrad();
       for (int64_t r = 0; r < g.rows(); ++r) {
         float w = c_impl->value.At(r, 0);
@@ -538,7 +555,7 @@ Var MulColBroadcast(const Var& a, const Var& col) {
         for (int64_t c = 0; c < g.cols(); ++c) garow[c] += w * grow[c];
       }
     }
-    if (c_impl->requires_grad) {
+    if (self->InputTakesGrad(1)) {
       Tensor& gc = c_impl->EnsureGrad();
       const Tensor& amat = a_impl->value;
       for (int64_t r = 0; r < g.rows(); ++r) {
@@ -588,6 +605,9 @@ Var AttentionAggregate(const Var& scores, const Var& values,
   // Pass 2: weight the value block per head and aggregate per target node.
   Tensor out(num_nodes, vv.cols());
   kernels::WeightedScatterAddGrouped(vv, w, *groups, head_dim, &out);
+  if (GradInputs({scores, values}) == 0) {
+    return Constant(std::move(out));  // No dst copy.
+  }
   auto s_impl = scores.impl();
   auto v_impl = values.impl();
   auto dst_copy = std::make_shared<std::vector<int32_t>>(dst);
@@ -603,11 +623,11 @@ Var AttentionAggregate(const Var& scores, const Var& values,
             wp[i] *= (*mask)[static_cast<size_t>(i)];
           }
         }
-        if (v_impl->requires_grad) {
+        if (self->InputTakesGrad(1)) {
           kernels::WeightedGatherAdd(gout, *dst_copy, w_back, head_dim,
                                      &v_impl->EnsureGrad());
         }
-        if (s_impl->requires_grad) {
+        if (self->InputTakesGrad(0)) {
           Tensor datt(att->rows(), att->cols());
           kernels::PerHeadDots(gout, *dst_copy, v_impl->value, head_dim,
                                &datt);
@@ -627,7 +647,6 @@ Var Sum(const Var& a) {
   Tensor out(1, 1, static_cast<float>(a.value().Sum()));
   auto a_impl = a.impl();
   return MakeResult(std::move(out), {a}, [a_impl](VarImpl* self) {
-    if (!a_impl->requires_grad) return;
     float gy = self->grad.At(0, 0);
     Tensor& ga = a_impl->EnsureGrad();
     float* g = ga.data();
@@ -643,7 +662,6 @@ Var Transpose(const Var& a) {
   }
   auto a_impl = a.impl();
   return MakeResult(std::move(out), {a}, [a_impl](VarImpl* self) {
-    if (!a_impl->requires_grad) return;
     Tensor& ga = a_impl->EnsureGrad();
     const Tensor& g = self->grad;
     for (int64_t r = 0; r < g.rows(); ++r) {
@@ -663,7 +681,6 @@ Var RowSum(const Var& a) {
   }
   auto a_impl = a.impl();
   return MakeResult(std::move(out), {a}, [a_impl](VarImpl* self) {
-    if (!a_impl->requires_grad) return;
     Tensor& ga = a_impl->EnsureGrad();
     const Tensor& g = self->grad;
     for (int64_t r = 0; r < ga.rows(); ++r) {
@@ -722,7 +739,7 @@ Var LayerNorm(const Var& a, const Var& gamma, const Var& beta, float eps) {
         const Tensor& g = self->grad;
         int64_t dim = g.cols();
         const float* gmr = g_impl->value.Row(0);
-        if (g_impl->requires_grad) {
+        if (self->InputTakesGrad(1)) {
           Tensor& gg = g_impl->EnsureGrad();
           float* ggr = gg.Row(0);
           for (int64_t r = 0; r < g.rows(); ++r) {
@@ -731,7 +748,7 @@ Var LayerNorm(const Var& a, const Var& gamma, const Var& beta, float eps) {
             for (int64_t c = 0; c < dim; ++c) ggr[c] += grow[c] * xh[c];
           }
         }
-        if (b_impl->requires_grad) {
+        if (self->InputTakesGrad(2)) {
           Tensor& gb = b_impl->EnsureGrad();
           float* gbr = gb.Row(0);
           for (int64_t r = 0; r < g.rows(); ++r) {
@@ -739,7 +756,7 @@ Var LayerNorm(const Var& a, const Var& gamma, const Var& beta, float eps) {
             for (int64_t c = 0; c < dim; ++c) gbr[c] += grow[c];
           }
         }
-        if (a_impl->requires_grad) {
+        if (self->InputTakesGrad(0)) {
           Tensor& ga = a_impl->EnsureGrad();
           for (int64_t r = 0; r < g.rows(); ++r) {
             const float* grow = g.Row(r);

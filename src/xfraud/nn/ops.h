@@ -10,10 +10,15 @@
 
 namespace xfraud::nn {
 
-// Differentiable ops. Every function returns a fresh Var wired into the tape;
-// when no input requires gradients the backward closure is omitted so pure
-// inference runs tape-free. All gradients are verified against central finite
-// differences in tests/nn_grad_test.cc.
+// Differentiable ops. Every function returns a fresh Var. It joins the tape
+// (keeps its grad-taking inputs as parents and a backward closure) only when
+// some input takes a gradient: it requires grad, no NoGradScope is open on
+// the calling thread, and no FreezeScope freezes it. Otherwise the result is
+// a constant and the op builds no closure and copies no index vector.
+// Parameters always require grad, so a forward pass outside a NoGradScope
+// tapes every op; core::GnnModel::Forward opens the scope for pure
+// inference. All gradients are verified against central finite differences
+// in tests/nn_grad_test.cc.
 //
 // The dense/scatter hot paths (MatMul, LinearBiasAct, IndexRows,
 // ScatterAddRows, AttentionAggregate) run on the blocked, optionally

@@ -1,10 +1,46 @@
 #include "xfraud/nn/variable.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "xfraud/common/logging.h"
 
 namespace xfraud::nn {
+
+namespace {
+
+thread_local int t_no_grad_depth = 0;
+thread_local const FreezeScope* t_freeze = nullptr;
+
+}  // namespace
+
+NoGradScope::NoGradScope() { ++t_no_grad_depth; }
+
+NoGradScope::~NoGradScope() { --t_no_grad_depth; }
+
+bool NoGradScope::Active() { return t_no_grad_depth > 0; }
+
+FreezeScope::FreezeScope(const std::vector<Var>& frozen) : outer_(t_freeze) {
+  frozen_.reserve(frozen.size());
+  for (const Var& v : frozen) {
+    if (v.defined()) frozen_.push_back(v.impl().get());
+  }
+  std::sort(frozen_.begin(), frozen_.end());
+  t_freeze = this;
+}
+
+FreezeScope::~FreezeScope() { t_freeze = outer_; }
+
+bool FreezeScope::Frozen(const Var& v) {
+  if (t_freeze == nullptr) return false;
+  const internal::VarImpl* node = v.impl().get();
+  for (const FreezeScope* s = t_freeze; s != nullptr; s = s->outer_) {
+    if (std::binary_search(s->frozen_.begin(), s->frozen_.end(), node)) {
+      return true;
+    }
+  }
+  return false;
+}
 
 Var::Var(Tensor value, bool requires_grad)
     : impl_(std::make_shared<internal::VarImpl>()) {
@@ -33,6 +69,9 @@ void Var::Backward() {
   XF_CHECK(impl_ != nullptr);
   XF_CHECK_EQ(impl_->value.rows(), 1);
   XF_CHECK_EQ(impl_->value.cols(), 1);
+  XF_CHECK(impl_->requires_grad)
+      << "Backward() from a node with no tape: no input required grad, or "
+         "it was built under a NoGradScope";
 
   // Iterative post-order DFS to obtain a topological order of the tape.
   std::vector<internal::VarImpl*> order;

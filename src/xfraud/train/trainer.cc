@@ -316,7 +316,7 @@ EvalResult Trainer::Evaluate(const graph::HeteroGraph& g,
   EvalResult result;
   std::vector<double> forward_secs;
   std::vector<double> sample_secs;
-  core::ForwardOptions fwd;  // inference: no dropout, no tape
+  core::ForwardOptions fwd;  // inference: no dropout; Forward builds no tape
   sample::BatchLoader loader(
       &g, sampler_, sample::BatchLoader::MakeSeedBatches(nodes, batch_size),
       eval_root_,

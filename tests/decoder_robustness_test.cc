@@ -438,7 +438,6 @@ TEST(DecoderSweepTest, FeatureStoreRecords) {
         (void)features.ReadNeighbors(0, &neighbors, &etypes);
         (void)features.ReadNeighbors(1, &neighbors, &etypes);
       });
-      if (key == "m") continue;  // a lying feature dim sizes the batch
       ExpectBounded("feature store batch " + key, 64, [&] {
         Rng rng(1);
         (void)features.LoadBatch({0}, 2, -1, &rng, kv::kHeadEpoch);

@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -299,6 +301,57 @@ TEST_F(ExplainerIntegrationTest, FeatureImportanceViewsAreConsistent) {
   std::string report = RenderFeatureImportance(fi, 3);
   EXPECT_NE(report.find("seed feature importance"), std::string::npos);
   EXPECT_NE(report.find("investigation leads"), std::string::npos);
+}
+
+/// FNV-1a over the raw bytes of `n` values: one number that changes when
+/// any bit of any value does.
+template <typename T>
+uint64_t BitsHash(const T* values, size_t n) {
+  uint64_t h = 14695981039346656037ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(values);
+  for (size_t i = 0; i < n * sizeof(T); ++i) {
+    h = (h ^ bytes[i]) * 1099511628211ull;
+  }
+  return h;
+}
+
+TEST_F(ExplainerIntegrationTest, MasksAndLossMatchGoldenBits) {
+  // Golden values were captured before the explainer froze the model's
+  // parameters; freezing must not move a single bit of the explanation.
+  Rng rng(5);
+  core::DetectorConfig dc;
+  dc.feature_dim = ds_->graph.feature_dim();
+  dc.hidden_dim = 16;
+  dc.num_heads = 2;
+  dc.num_layers = 2;
+  core::XFraudDetector fresh(dc, &rng);
+  auto batch = CommunityBatch(ds_->test_nodes[6]);
+  Explanation exp = GnnExplainer(&fresh, GnnExplainerOptions{}).Explain(batch);
+
+  uint64_t loss_bits = 0;
+  std::memcpy(&loss_bits, &exp.final_loss, sizeof(loss_bits));
+  EXPECT_EQ(loss_bits, 0x3ff325e580000000ull);
+  EXPECT_EQ(BitsHash(exp.edge_mask.data(), exp.edge_mask.size()),
+            0x4f3430877cee9164ull);
+  EXPECT_EQ(BitsHash(exp.node_feature_mask.data(),
+                     static_cast<size_t>(exp.node_feature_mask.size())),
+            0x77bb7cc95caa1c2cull);
+}
+
+TEST_F(ExplainerIntegrationTest, ExplainLeavesModelGradientsUntouched) {
+  // The explainer learns masks only; the shared model's grad buffers (here
+  // left over from training) must come out bit-for-bit as they went in.
+  std::vector<nn::NamedParameter> params = model_->Parameters();
+  std::vector<nn::Tensor> before;
+  for (auto& p : params) before.push_back(p.var.grad());
+  GnnExplainerOptions opts;
+  opts.epochs = 10;
+  GnnExplainer(model_, opts).Explain(CommunityBatch(ds_->test_nodes[7]));
+  for (size_t i = 0; i < params.size(); ++i) {
+    EXPECT_TRUE(params[i].var.requires_grad()) << params[i].name;
+    EXPECT_TRUE(params[i].var.grad().BitwiseEqual(before[i]))
+        << params[i].name;
+  }
 }
 
 TEST(TopDimensionsTest, ReturnsLargestStably) {
